@@ -303,9 +303,14 @@ def load_mel_stats(path) -> MelStats:
         blob = f.read()
     if blob[:8] != MELSTATS_MAGIC:
         raise AudioFormatError(f"{path}: not a MELSTATS file")
+    if len(blob) < 56:
+        raise AudioFormatError(f"{path}: truncated MELSTATS header ({len(blob)} of 56 bytes)")
     version, n_mels = struct.unpack_from("<II", blob, 8)
     if version != MELSTATS_VERSION:
         raise AudioFormatError(f"{path}: unsupported MELSTATS version {version}")
+    if len(blob) != 56 + 4 * n_mels:
+        raise AudioFormatError(f"{path}: MELSTATS with {n_mels} mel bins must be "
+                               f"{56 + 4 * n_mels} bytes, got {len(blob)}")
     (frame_count_,) = struct.unpack_from("<Q", blob, 16)
     fingerprint = blob[24:56]
     values = np.frombuffer(blob, dtype="<f4", count=n_mels, offset=56)

@@ -82,4 +82,6 @@ def load_checkpoint(path) -> tuple[bytes, dict[str, np.ndarray]]:
             tensors[name] = values.reshape(dims).copy()
     except (struct.error, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from exc
+    if offset != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after the last tensor")
     return config_hash, tensors

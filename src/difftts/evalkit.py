@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -28,19 +29,46 @@ def normalize_text(text: str) -> str:
 
 
 def edit_distance(ref: Sequence, hyp: Sequence) -> int:
-    """Levenshtein distance with unit costs, rolling-row DP."""
-    if len(ref) == 0:
-        return len(hyp)
-    if len(hyp) == 0:
-        return len(ref)
-    prev = list(range(len(hyp) + 1))
-    for i, r in enumerate(ref, start=1):
-        cur = [i] + [0] * len(hyp)
-        for j, h in enumerate(hyp, start=1):
-            cost = 0 if r == h else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[-1]
+    """Levenshtein distance with unit costs.
+
+    Myers' bit-vector algorithm (G. Myers, "A fast bit-vector algorithm for
+    approximate string matching based on dynamic programming", JACM 1999)
+    in the global edit-distance form of H. Hyyrö ("Explaining and extending
+    the bit-parallel approximate string matching algorithm of Myers", 2001).
+    One DP column of the shorter sequence is held as vertical +1/-1 delta
+    bit vectors in Python ints, so each token of the longer sequence costs a
+    fixed number of big-int operations instead of one step per DP cell.
+
+    Tokens must be hashable: characters (CER) and words (WER) alike are
+    matched through a dict of per-token bit masks.
+    """
+    # the distance is symmetric, so the shorter sequence is the pattern
+    text, pattern = (ref, hyp) if len(ref) >= len(hyp) else (hyp, ref)
+    if len(pattern) == 0:
+        return len(text)
+    peq: dict = {}  # token -> bit i set where pattern[i] == token
+    bit = 1
+    for tok in pattern:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    top = bit >> 1
+    vp, vn, dist = mask, 0, len(pattern)
+    for tok in text:
+        eq = peq.get(tok, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | (~(xh | vp) & mask)
+        mh = vp & xh
+        if ph & top:
+            dist += 1
+        elif mh & top:
+            dist -= 1
+        # the shifted-in 1 is the +1 horizontal delta of DP row 0
+        ph = (ph << 1) | 1
+        vp = ((mh << 1) | ~(xv | ph)) & mask
+        vn = ph & xv
+    return dist
 
 
 def cer(reference: str, hypothesis: str) -> float:
@@ -49,7 +77,7 @@ def cer(reference: str, hypothesis: str) -> float:
     if not ref:
         raise EmptyReferenceError("reference empty after normalization")
     hyp = normalize_text(hypothesis)
-    return edit_distance(list(ref), list(hyp)) / len(ref)
+    return edit_distance(ref, hyp) / len(ref)
 
 
 def wer(reference: str, hypothesis: str) -> float:
@@ -178,6 +206,8 @@ def read_manifest(path) -> list[UtteranceRecord]:
                     sim_val = float(sim_text)
                 except ValueError as exc:
                     raise ManifestError(f"line {lineno}: bad sim_o value {sim_text!r}") from exc
+                if not math.isfinite(sim_val):
+                    raise ManifestError(f"line {lineno}: non-finite sim_o value {sim_text!r}")
             try:
                 records.append(UtteranceRecord(uid, dataset, language, reference,
                                                hypothesis or None, sim_val))

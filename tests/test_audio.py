@@ -215,6 +215,17 @@ def test_mel_stats_rerun_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("size", [12, 30, 100, 375, 377])
+def test_mel_stats_rejects_wrong_length(tmp_path, size):
+    # an 80-bin file is 56 header bytes + 320 value bytes = 376
+    stats = audio.MelStats(np.zeros(80), 1, CFG.fingerprint())
+    p = tmp_path / "stats.bin"
+    audio.save_mel_stats(p, stats)
+    p.write_bytes(p.read_bytes()[:size].ljust(size, b"\0"))
+    with pytest.raises(audio.AudioFormatError):
+        audio.load_mel_stats(p)
+
+
 # -- griffin-lim ---------------------------------------------------------------
 
 def test_griffin_lim_recovers_tone():

@@ -51,3 +51,11 @@ def test_rejects_truncated(tmp_path):
     p.write_bytes(blob[:-8])
     with pytest.raises(ck.CheckpointError):
         ck.load_checkpoint(p)
+
+
+def test_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "t.ckpt"
+    ck.save_checkpoint(p, bytes(32), {"w": np.ones(10, dtype=np.float32)})
+    p.write_bytes(p.read_bytes() + bytes(9))
+    with pytest.raises(ck.CheckpointError, match="trailing"):
+        ck.load_checkpoint(p)

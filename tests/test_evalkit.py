@@ -81,6 +81,49 @@ def test_distance_triangle_inequality(a, b, c):
     assert ac <= ab + bc
 
 
+LARGE_ALPHABET = [chr(0x900 + i) for i in range(128)]
+
+
+@pytest.mark.parametrize("alphabet", [list("ab"), LARGE_ALPHABET], ids=["two-letter", "large"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_distance_matches_oracle_long(alphabet, data):
+    # draw the lengths first: plain st.lists rarely gets near 200 tokens
+    n, m = data.draw(st.integers(0, 200)), data.draw(st.integers(0, 200))
+    a = data.draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+    b = data.draw(st.lists(st.sampled_from(alphabet), min_size=m, max_size=m))
+    want = oracle_distance(a, b)
+    assert ek.edit_distance(a, b) == want
+    assert ek.edit_distance(b, a) == want
+
+
+@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=60),
+       st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_word_distance_matches_oracle(a, b):
+    want = oracle_distance(a, b)
+    assert ek.edit_distance(a, b) == want
+    assert ek.edit_distance(b, a) == want
+    if a:
+        assert ek.wer(" ".join(a), " ".join(b)) == want / len(a)
+
+
+@pytest.mark.parametrize("words", [False, True], ids=["chars", "words"])
+@pytest.mark.parametrize("n,m", [(1000, 1000), (1500, 1024), (1001, 63), (4000, 2500)])
+def test_distance_closed_forms_long(n, m, words):
+    rng = random.Random(n * m)
+    if words:
+        pool_a, pool_b = [f"a{i}" for i in range(40)], [f"b{i}" for i in range(40)]
+        a = [rng.choice(pool_a) for _ in range(n)]
+        b = [rng.choice(pool_b) for _ in range(m)]
+    else:
+        a = "".join(rng.choice("abc") for _ in range(n))
+        b = "".join(rng.choice("xyz") for _ in range(m))
+    assert ek.edit_distance(a, a) == 0
+    assert ek.edit_distance(a, a[:0]) == ek.edit_distance(a[:0], a) == n
+    assert ek.edit_distance(a, b) == ek.edit_distance(b, a) == max(n, m)
+
+
 # -- aggregation -----------------------------------------------------------
 
 def rec(uid, dataset="indicsuperb", language="hindi", ref="abcd", hyp="abcd", sim=None):
@@ -181,4 +224,14 @@ def test_read_manifest_duplicate_id(tmp_path):
                  "u1\td\tl\tr\th\t\n"
                  "u1\td\tl\tr\th\t\n", encoding="utf-8")
     with pytest.raises(ek.ManifestError, match="duplicate"):
+        ek.read_manifest(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_read_manifest_rejects_non_finite_sim_o(tmp_path, value):
+    p = tmp_path / "m.tsv"
+    p.write_text("id\tdataset\tlanguage\treference\thypothesis\tsim_o\n"
+                 "u1\td\tl\tr\t\t0.5\n"
+                 f"u2\td\tl\tr\t\t{value}\n", encoding="utf-8")
+    with pytest.raises(ek.ManifestError, match="line 3"):
         ek.read_manifest(p)
