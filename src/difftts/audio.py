@@ -11,9 +11,8 @@ import hashlib
 import math
 import struct
 import wave
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -242,11 +241,6 @@ def mel_filterbank(cfg: AnalysisConfig) -> np.ndarray:
     return fb
 
 
-def filter_center_frequencies(cfg: AnalysisConfig) -> np.ndarray:
-    points = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2))
-    return points[1:-1]
-
-
 def wav_to_mel(w: Waveform, cfg: AnalysisConfig) -> MelSpectrogram:
     """Log-mel analysis; requires the waveform to match the config rate."""
     if w.sample_rate != cfg.sample_rate:
@@ -350,11 +344,3 @@ def griffin_lim(m: MelSpectrogram, cfg: AnalysisConfig, iterations: int = 32,
         x = x / peak
     return Waveform(x, cfg.sample_rate)
 
-
-def griffin_lim_error(m: MelSpectrogram, cfg: AnalysisConfig, iterations: int,
-                      seed: int = 0) -> float:
-    """Magnitude reconstruction error after the given iteration count."""
-    target = _mel_to_linear_magnitude(m, cfg)
-    x = _gl_iterate(target, cfg, iterations, seed)
-    got = np.abs(_stft_complex(x, cfg))[:target.shape[0]]
-    return float(np.linalg.norm(got - target))

@@ -9,6 +9,7 @@ vocabulary) is expressed as named tensors so round-trips are bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -32,22 +33,34 @@ def tensor_to_string(values: np.ndarray) -> str:
 
 
 def save_checkpoint(path, config_hash: bytes, tensors: dict[str, np.ndarray]) -> None:
+    """Write to a temporary file beside ``path``, then rename it over ``path``.
+
+    A process that dies mid-write leaves the previous checkpoint intact.  The
+    data is not fsynced, so this does not guard against power loss.
+    """
     if len(config_hash) != 32:
         raise CheckpointError("config hash must be 32 bytes")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(config_hash)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, value in tensors.items():
-            raw = name.encode("utf-8")
-            arr = np.ascontiguousarray(value, dtype="<f4")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<Q", dim))
-            f.write(arr.tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(config_hash)
+            f.write(struct.pack("<I", len(tensors)))
+            for name, value in tensors.items():
+                raw = name.encode("utf-8")
+                arr = np.ascontiguousarray(value, dtype="<f4")
+                f.write(struct.pack("<I", len(raw)))
+                f.write(raw)
+                f.write(struct.pack("<I", arr.ndim))
+                for dim in arr.shape:
+                    f.write(struct.pack("<Q", dim))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[bytes, dict[str, np.ndarray]]:

@@ -6,10 +6,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evalkit, pipeline
-from .audio import load_mel_stats, load_wav, mean_mel, save_mel_stats, write_wav
+from .audio import (ConfigMismatchError, load_mel_stats, load_wav, mean_mel, save_mel_stats,
+                    write_wav)
 from .config import Config, load_config
 from .corpus import load_corpus
 from .textfront import build_vocab
@@ -38,9 +37,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.epochs is not None and args.epochs < 1:
+        raise ValueError(f"--epochs must be at least 1, got {args.epochs}")
     cfg = _config_from_args(args)
-    utterances = load_corpus(args.corpus, cfg)
     stats_path = Path(args.stats) if args.stats else _default_stats_path(args.corpus)
+    if stats_path.exists() and load_mel_stats(stats_path).fingerprint != cfg.audio.fingerprint():
+        raise ConfigMismatchError(f"{stats_path}: mel stats were computed under a different "
+                                  "analysis config; rerun `difftts stats` with this config")
+    utterances = load_corpus(args.corpus, cfg)
     if not stats_path.exists():
         stats = mean_mel([u.mel for u in utterances], cfg.audio)
         save_mel_stats(stats_path, stats)
@@ -52,13 +56,13 @@ def cmd_train(args) -> int:
         trainer = pipeline.new_trainer(cfg, vocab)
     epochs = args.epochs if args.epochs is not None else cfg.train.epochs
     log_path = Path(args.log) if args.log else Path(args.out).with_suffix(".losses.csv")
+    # train_epochs writes the checkpoint after the last epoch
     lines = pipeline.train_epochs(trainer, utterances, epochs,
                                   checkpoint_path=args.out, stats_path=str(stats_path))
     mode = "a" if args.resume else "w"
     with open(log_path, mode, encoding="utf-8") as f:
         for line in lines:
             f.write(line + "\n")
-    pipeline.save_trainer(args.out, trainer, str(stats_path))
     print(f"trained {epochs} epochs -> {args.out} (loss log: {log_path})")
     return 0
 
@@ -73,8 +77,14 @@ def cmd_synth(args) -> int:
         return 1
     stats = load_mel_stats(stats_path)
     reference = load_wav(args.ref)
-    result = pipeline.synthesize(trainer.model, stats, args.text, reference,
-                                 gamma=args.gamma, steps=args.steps, seed=args.seed or 0)
+    guidance = trainer.model.cfg.guidance
+    gamma = guidance.gamma if args.gamma is None else args.gamma
+    steps = guidance.steps if args.steps is None else args.steps
+    try:
+        result = pipeline.synthesize(trainer.model, stats, args.text, reference,
+                                     gamma=gamma, steps=steps, seed=args.seed or 0)
+    except ConfigMismatchError as exc:
+        raise ConfigMismatchError(f"{stats_path}: {exc}") from exc
     write_wav(args.out, result.wave)
     frames = result.durations.frames
     print("durations:", " ".join(str(int(d)) for d in frames))
@@ -125,9 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True, help="reference WAV of the target speaker")
     p.add_argument("--out", required=True, help="output WAV path")
     p.add_argument("--config")
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="guidance scale (no published operating value; 0 disables)")
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--gamma", type=float,
+                   help="guidance scale; default: the config's guidance.gamma (0 disables)")
+    p.add_argument("--steps", type=int,
+                   help="sampler steps; default: the config's guidance.steps")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats", help="override the checkpoint's stats reference")
     p.set_defaults(func=cmd_synth)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -39,7 +40,8 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
+class NoiseSchedule:
+    """Linear beta schedule; training draws t from [t_min, 1) and sampling stops at t_min."""
     beta0: float = 0.05
     beta1: float = 20.0
     t_min: float = 1e-3
@@ -49,6 +51,18 @@ class ScheduleConfig:
             raise ConfigError("need 0 < beta0 < beta1")
         if not (0 < self.t_min < 1):
             raise ConfigError("t_min must lie in (0, 1)")
+
+    def beta(self, t: float) -> float:
+        return self.beta0 + (self.beta1 - self.beta0) * t
+
+    def cumulative(self, t: float) -> float:
+        return self.beta0 * t + 0.5 * (self.beta1 - self.beta0) * t * t
+
+    def coefficients(self, t: float) -> tuple[float, float, float]:
+        """(x0 mean coeff, mu mean coeff, standard deviation) at time t."""
+        b = self.cumulative(t)
+        m0 = math.exp(-0.5 * b)
+        return m0, 1.0 - m0, math.sqrt(1.0 - math.exp(-b))
 
 
 @dataclass(frozen=True)
@@ -67,7 +81,8 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class GuidanceDefaults:
+class GuidanceConfig:
+    """Sampler settings; gamma and steps are the `difftts synth` defaults."""
     gamma: float = 1.0
     steps: int = 50
     temperature: float = 1.5
@@ -81,9 +96,9 @@ class GuidanceDefaults:
 class Config:
     audio: AnalysisConfig = field(default_factory=AnalysisConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    schedule: NoiseSchedule = field(default_factory=NoiseSchedule)
     train: TrainConfig = field(default_factory=TrainConfig)
-    guidance: GuidanceDefaults = field(default_factory=GuidanceDefaults)
+    guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
     token_mode: str = "characters"
 
     def __post_init__(self):
@@ -111,9 +126,9 @@ class Config:
 _SECTIONS = {
     "audio": AnalysisConfig,
     "model": ModelConfig,
-    "schedule": ScheduleConfig,
+    "schedule": NoiseSchedule,
     "train": TrainConfig,
-    "guidance": GuidanceDefaults,
+    "guidance": GuidanceConfig,
 }
 
 
@@ -159,9 +174,9 @@ def parse_config(text: str) -> Config:
         return Config(
             audio=AnalysisConfig(**by_section["audio"]),
             model=ModelConfig(**by_section["model"]),
-            schedule=ScheduleConfig(**by_section["schedule"]),
+            schedule=NoiseSchedule(**by_section["schedule"]),
             train=TrainConfig(**by_section["train"]),
-            guidance=GuidanceDefaults(**by_section["guidance"]),
+            guidance=GuidanceConfig(**by_section["guidance"]),
             **top,
         )
     except ValueError as exc:
@@ -172,8 +187,3 @@ def load_config(path) -> Config:
     with open(path, encoding="utf-8") as f:
         return parse_config(f.read())
 
-
-def save_config(path, cfg: Config) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for line in cfg.to_lines():
-            f.write(line + "\n")

@@ -19,56 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .config import Config
-
-
-@dataclass(frozen=True)
-class NoiseSchedule:
-    beta0: float = 0.05
-    beta1: float = 20.0
-
-    def __post_init__(self):
-        if not (0 < self.beta0 < self.beta1):
-            raise ValueError("need 0 < beta0 < beta1")
-
-    def beta(self, t: float) -> float:
-        return self.beta0 + (self.beta1 - self.beta0) * t
-
-    def cumulative(self, t: float) -> float:
-        return self.beta0 * t + 0.5 * (self.beta1 - self.beta0) * t * t
-
-    def coefficients(self, t: float) -> tuple[float, float, float]:
-        """(x0 mean coeff, mu mean coeff, standard deviation) at time t."""
-        b = self.cumulative(t)
-        m0 = math.exp(-0.5 * b)
-        return m0, 1.0 - m0, math.sqrt(1.0 - math.exp(-b))
-
-
-@dataclass(frozen=True)
-class GuidanceConfig:
-    gamma: float = 1.0
-    steps: int = 50
-    temperature: float = 1.5
-
-    def __post_init__(self):
-        if self.gamma < 0 or self.steps < 1 or self.temperature <= 0:
-            raise ValueError("bad guidance configuration")
+from .config import Config, GuidanceConfig, NoiseSchedule
 
 
 @dataclass
 class ScoreCondition:
     """Decoder conditioning: a frame-level mel condition plus a speaker vector.
 
-    Either field may be a graph Tensor (training) or an ndarray (sampling).
+    Either field may be a graph Tensor (training) or an ndarray (sampling);
+    ``score_net`` turns arrays into tensors.
     """
     mel: object       # frames x n_mels (aligned text mu, or mean-mel broadcast)
     speaker: object   # (d_spk,) unit norm
-
-    def __post_init__(self):
-        if not isinstance(self.mel, nc.Tensor):
-            self.mel = np.asarray(self.mel)
-        if not isinstance(self.speaker, nc.Tensor):
-            self.speaker = np.asarray(self.speaker)
 
 
 def forward_diffuse(x0, mu, t: float, noise, schedule: NoiseSchedule):
@@ -80,27 +42,24 @@ def forward_diffuse(x0, mu, t: float, noise, schedule: NoiseSchedule):
     if not (0.0 < t <= 1.0):
         raise ValueError(f"t must lie in (0, 1], got {t}")
     m0, mmu, sigma = schedule.coefficients(t)
-    x0_t = x0 if isinstance(x0, nc.Tensor) else nc.Tensor(x0)
-    mu_t = mu if isinstance(mu, nc.Tensor) else nc.Tensor(mu)
-    eps_t = noise if isinstance(noise, nc.Tensor) else nc.Tensor(noise)
-    if x0_t.shape != mu_t.shape or x0_t.shape != eps_t.shape:
+    x0, mu, noise = (v if isinstance(v, nc.Tensor) else nc.Tensor(v) for v in (x0, mu, noise))
+    if x0.shape != mu.shape or x0.shape != noise.shape:
         raise nc.ShapeError("x0, mu and noise must share a shape")
-    return x0_t * m0 + mu_t * mmu + eps_t * sigma
+    return x0 * m0 + mu * mmu + noise * sigma
 
 
 # -- score network -------------------------------------------------------------
 
 
-def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator,
-                prefix: str = "dec") -> None:
+def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator) -> None:
     c = cfg.model.dec_channels
     k = cfg.model.conv_kernel
     n_mels = cfg.audio.n_mels
     d_spk = cfg.model.d_spk
-    store.create(f"{prefix}.in.w", nc.glorot(rng, k * 2 * n_mels, c))
-    store.create(f"{prefix}.in.b", np.zeros(c))
+    store.create("dec.in.w", nc.glorot(rng, k * 2 * n_mels, c))
+    store.create("dec.in.b", np.zeros(c))
     for name in ("down0", "down1", "mid", "up1", "up0"):
-        b = f"{prefix}.{name}"
+        b = f"dec.{name}"
         store.create(f"{b}.ln.gain", np.ones(c))
         store.create(f"{b}.ln.bias", np.zeros(c))
         store.create(f"{b}.time.w", nc.glorot(rng, c, c))
@@ -110,8 +69,8 @@ def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator,
         store.create(f"{b}.conv.w", nc.glorot(rng, k * c, c))
         store.create(f"{b}.conv.b", np.zeros(c))
     # zero-init output head: the untrained net predicts zero noise
-    store.create(f"{prefix}.out.w", np.zeros((k * c, n_mels)))
-    store.create(f"{prefix}.out.b", np.zeros(n_mels))
+    store.create("dec.out.w", np.zeros((k * c, n_mels)))
+    store.create("dec.out.b", np.zeros(n_mels))
 
 
 def _res_block(store: nc.ParamStore, x: nc.Tensor, t_emb: nc.Tensor,
@@ -133,32 +92,29 @@ def _upsample_to(x: nc.Tensor, frames: int) -> nc.Tensor:
 
 
 def score_net(store: nc.ParamStore, x_t, t: float, cond: ScoreCondition,
-              cfg: Config, prefix: str = "dec") -> nc.Tensor:
+              cfg: Config) -> nc.Tensor:
     """Predict the injected noise from (X_t, conditions, t): a small conv U."""
     c = cfg.model.dec_channels
     k = cfg.model.conv_kernel
-    x_t_t = x_t if isinstance(x_t, nc.Tensor) else nc.Tensor(np.asarray(x_t, dtype=store.dtype))
-    cond_mel = cond.mel if isinstance(cond.mel, nc.Tensor) else nc.Tensor(
-        np.asarray(cond.mel, dtype=store.dtype))
-    if x_t_t.shape != cond_mel.shape:
-        raise nc.ShapeError(f"sample/condition shapes disagree: {x_t_t.shape} vs {cond_mel.shape}")
-    spk = cond.speaker if isinstance(cond.speaker, nc.Tensor) else nc.Tensor(
-        np.asarray(cond.speaker, dtype=store.dtype))
+    x, mel, spk = (v if isinstance(v, nc.Tensor) else nc.Tensor(np.asarray(v, dtype=store.dtype))
+                   for v in (x_t, cond.mel, cond.speaker))
+    if x.shape != mel.shape:
+        raise nc.ShapeError(f"sample/condition shapes disagree: {x.shape} vs {mel.shape}")
     spk = spk.reshape(1, -1)
     t_emb = nc.Tensor(nc.sinusoidal_embedding(t, c, dtype=store.dtype))
 
-    h = nc.concat_cols(x_t_t, cond_mel)
-    h0 = nc.conv1d(h, store[f"{prefix}.in.w"].tensor, store[f"{prefix}.in.b"].tensor, kernel=k)
-    h0 = _res_block(store, h0, t_emb, spk, f"{prefix}.down0", k)
+    h = nc.concat_cols(x, mel)
+    h0 = nc.conv1d(h, store["dec.in.w"].tensor, store["dec.in.b"].tensor, kernel=k)
+    h0 = _res_block(store, h0, t_emb, spk, "dec.down0", k)
     h1 = nc.avg_pool_rows(h0)
-    h1 = _res_block(store, h1, t_emb, spk, f"{prefix}.down1", k)
+    h1 = _res_block(store, h1, t_emb, spk, "dec.down1", k)
     h2 = nc.avg_pool_rows(h1)
-    h2 = _res_block(store, h2, t_emb, spk, f"{prefix}.mid", k)
+    h2 = _res_block(store, h2, t_emb, spk, "dec.mid", k)
     u1 = _upsample_to(h2, h1.shape[0]) + h1
-    u1 = _res_block(store, u1, t_emb, spk, f"{prefix}.up1", k)
+    u1 = _res_block(store, u1, t_emb, spk, "dec.up1", k)
     u0 = _upsample_to(u1, h0.shape[0]) + h0
-    u0 = _res_block(store, u0, t_emb, spk, f"{prefix}.up0", k)
-    return nc.conv1d(u0, store[f"{prefix}.out.w"].tensor, store[f"{prefix}.out.b"].tensor, kernel=k)
+    u0 = _res_block(store, u0, t_emb, spk, "dec.up0", k)
+    return nc.conv1d(u0, store["dec.out.w"].tensor, store["dec.out.b"].tensor, kernel=k)
 
 
 def score_from_noise(eps_hat: np.ndarray, t: float, schedule: NoiseSchedule) -> np.ndarray:
@@ -172,9 +128,9 @@ def score_from_noise(eps_hat: np.ndarray, t: float, schedule: NoiseSchedule) -> 
 
 def diffusion_loss(store: nc.ParamStore, x0: np.ndarray, mu: nc.Tensor,
                    speaker, rng: np.random.Generator,
-                   schedule: NoiseSchedule, cfg: Config, t_min: float = 1e-3) -> nc.Tensor:
-    """Noise-prediction MSE at a uniformly drawn time."""
-    t = float(rng.uniform(t_min, 1.0))
+                   schedule: NoiseSchedule, cfg: Config) -> nc.Tensor:
+    """Noise-prediction MSE at a time drawn uniformly from [t_min, 1)."""
+    t = float(rng.uniform(schedule.t_min, 1.0))
     eps = rng.standard_normal(x0.shape).astype(store.dtype)
     x_t = forward_diffuse(nc.Tensor(np.asarray(x0, dtype=store.dtype)), mu, t,
                           nc.Tensor(eps), schedule)
@@ -210,9 +166,8 @@ def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
 
 def reverse_sample(store: nc.ParamStore, mu: np.ndarray, speaker: np.ndarray,
                    guidance: GuidanceConfig, schedule: NoiseSchedule, cfg: Config,
-                   seed: int, cond_mel: np.ndarray | None = None,
-                   t_min: float = 1e-3) -> np.ndarray:
-    """Integrate dX = (mu/2 - X/2 - s) beta dt from t=1 down to t_min.
+                   seed: int, cond_mel: np.ndarray | None = None) -> np.ndarray:
+    """Integrate dX = (mu/2 - X/2 - s) beta dt from t=1 down to schedule.t_min.
 
     Deterministic given the seed: randomness enters only through the initial
     sample X_1 ~ N(mu, temperature * I).
@@ -224,7 +179,7 @@ def reverse_sample(store: nc.ParamStore, mu: np.ndarray, speaker: np.ndarray,
     cond_c = ScoreCondition(mu, spk)
     cond_u = None if cond_mel is None else ScoreCondition(
         np.asarray(cond_mel, dtype=store.dtype), spk)
-    h = (1.0 - t_min) / guidance.steps
+    h = (1.0 - schedule.t_min) / guidance.steps
     for k in range(guidance.steps):
         t = 1.0 - k * h
         s = cfg_score(store, x, t, cond_c, cond_u, guidance.gamma, schedule, cfg)

@@ -64,103 +64,65 @@ def crop_window(values: np.ndarray, length: int, rng: np.random.Generator) -> np
 
 
 def crop_reference(pool: dict[str, MelSpectrogram], target_id: str,
-                   rng: np.random.Generator, length: int, speaker: str = "",
-                   target_region: tuple[int, int] | None = None) -> ReferenceMel:
-    """Pick an unrelated utterance of the speaker and crop a window from it.
-
-    When the pool holds only the target itself, a window is cut from material
-    outside the declared target region; with no such region (or none left)
-    this fails.
-    """
-    if not pool:
-        raise ReferenceUnavailableError("empty reference pool")
+                   rng: np.random.Generator, length: int, speaker: str = "") -> ReferenceMel:
+    """Pick another utterance of the speaker and crop a window from it."""
     others = sorted(uid for uid in pool if uid != target_id)
-    if others:
-        pick = others[int(rng.integers(0, len(others)))]
-        source = pool[pick]
-        window = crop_window(source.values, length, rng)
-        return ReferenceMel(
-            MelSpectrogram(window, source.sample_rate, source.hop_length, source.n_mels),
-            pick, speaker)
-    source = pool[target_id]
-    if target_region is None:
+    if not others:
         raise ReferenceUnavailableError(
-            f"speaker {speaker or '?'}: only the target utterance is available")
-    lo, hi = target_region
-    segments = [seg for seg in (source.values[:lo], source.values[hi:]) if seg.shape[0] > 0]
-    if not segments:
-        raise ReferenceUnavailableError(
-            f"speaker {speaker or '?'}: target region covers the whole utterance")
-    seg = segments[int(rng.integers(0, len(segments)))]
-    window = crop_window(seg, length, rng)
+            f"speaker {speaker or '?'}: no utterance besides the target is available")
+    pick = others[int(rng.integers(0, len(others)))]
+    source = pool[pick]
+    window = crop_window(source.values, length, rng)
     return ReferenceMel(
         MelSpectrogram(window, source.sample_rate, source.hop_length, source.n_mels),
-        target_id, speaker)
+        pick, speaker)
 
 
 # -- parameters ---------------------------------------------------------------
 
 
-def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator,
-                prefix: str = "dur") -> None:
+def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator) -> None:
     d = cfg.model.d_model
     k = cfg.model.conv_kernel
-    store.create(f"{prefix}.ref.w", nc.glorot(rng, cfg.audio.n_mels, d))
-    store.create(f"{prefix}.ref.b", np.zeros(d))
+    store.create("dur.ref.w", nc.glorot(rng, cfg.audio.n_mels, d))
+    store.create("dur.ref.b", np.zeros(d))
     # small query init keeps early attention near-uniform, so the attended
     # output starts as a stable window average instead of arbitrary frames
-    store.create(f"{prefix}.query.w", 0.1 * nc.glorot(rng, d, d))
+    store.create("dur.query.w", 0.1 * nc.glorot(rng, d, d))
     # block0 takes [attended reference | text embeddings] side by side
-    store.create(f"{prefix}.block0.conv.w", nc.glorot(rng, k * 2 * d, d))
-    store.create(f"{prefix}.block0.conv.b", np.zeros(d))
-    store.create(f"{prefix}.block0.ln.gain", np.ones(d))
-    store.create(f"{prefix}.block0.ln.bias", np.zeros(d))
-    store.create(f"{prefix}.block1.conv.w", nc.glorot(rng, k * d, d))
-    store.create(f"{prefix}.block1.conv.b", np.zeros(d))
-    store.create(f"{prefix}.block1.ln.gain", np.ones(d))
-    store.create(f"{prefix}.block1.ln.bias", np.zeros(d))
-    store.create(f"{prefix}.head.w", nc.glorot(rng, d, 1))
-    store.create(f"{prefix}.head.b", np.zeros(1))
+    store.create("dur.block0.conv.w", nc.glorot(rng, k * 2 * d, d))
+    store.create("dur.block0.conv.b", np.zeros(d))
+    store.create("dur.block0.ln.gain", np.ones(d))
+    store.create("dur.block0.ln.bias", np.zeros(d))
+    store.create("dur.block1.conv.w", nc.glorot(rng, k * d, d))
+    store.create("dur.block1.conv.b", np.zeros(d))
+    store.create("dur.block1.ln.gain", np.ones(d))
+    store.create("dur.block1.ln.bias", np.zeros(d))
+    store.create("dur.head.w", nc.glorot(rng, d, 1))
+    store.create("dur.head.b", np.zeros(1))
 
 
 # -- forward -------------------------------------------------------------------
 
 
 def cross_attend(store: nc.ParamStore, text_emb: nc.Tensor, ref: ReferenceMel,
-                 cfg: Config | None = None, mask: np.ndarray | None = None,
-                 prefix: str = "dur") -> nc.Tensor:
+                 cfg: Config, mask: np.ndarray | None = None) -> nc.Tensor:
     """Attend text queries over the projected reference frames.
 
     The reference serves as both keys and values after one learned linear
-    projection to model width.  Single head by default; with several heads
-    the projected queries/keys/values are split column-wise, scale stays
-    1/sqrt(d_head).
+    projection to model width, split into ``cfg.model.dur_heads`` heads.
     """
-    heads = 1 if cfg is None else cfg.model.dur_heads
     m = nc.Tensor(ref.mel.values.astype(store.dtype))
-    proj = nc.linear(m, store[f"{prefix}.ref.w"].tensor, store[f"{prefix}.ref.b"].tensor)
-    q = text_emb @ store[f"{prefix}.query.w"].tensor
-    if heads == 1:
-        out, _ = nc.scaled_dot_attention(q, proj, proj)
-    else:
-        d_head = q.shape[1] // heads
-        parts = []
-        for h in range(heads):
-            lo, hi = h * d_head, (h + 1) * d_head
-            piece, _ = nc.scaled_dot_attention(
-                nc.slice_cols(q, lo, hi), nc.slice_cols(proj, lo, hi), nc.slice_cols(proj, lo, hi))
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            out = nc.concat_cols(out, piece)
+    proj = nc.linear(m, store["dur.ref.w"].tensor, store["dur.ref.b"].tensor)
+    q = text_emb @ store["dur.query.w"].tensor
+    out = nc.multi_head_attention(q, proj, proj, cfg.model.dur_heads)
     if mask is not None:
         out = nc.apply_mask(out, mask)
     return out
 
 
 def predict_log_durations(store: nc.ParamStore, attended: nc.Tensor, text_emb: nc.Tensor,
-                          cfg: Config, mask: np.ndarray | None = None,
-                          prefix: str = "dur") -> nc.Tensor:
+                          cfg: Config, mask: np.ndarray | None = None) -> nc.Tensor:
     """Two masked conv+norm blocks over [A | E_t], then a linear head.
 
     The text embeddings ride along in separate channels so the head can
@@ -169,13 +131,13 @@ def predict_log_durations(store: nc.ParamStore, attended: nc.Tensor, text_emb: n
     k = cfg.model.conv_kernel
     x = nc.concat_cols(attended, text_emb)
     for i in range(2):
-        b = f"{prefix}.block{i}"
+        b = f"dur.block{i}"
         x = nc.conv1d(x, store[f"{b}.conv.w"].tensor, store[f"{b}.conv.b"].tensor, kernel=k)
         x = nc.tanh(x)
         x = nc.layer_norm(x, store[f"{b}.ln.gain"].tensor, store[f"{b}.ln.bias"].tensor)
         if mask is not None:
             x = nc.apply_mask(x, mask)
-    return nc.linear(x, store[f"{prefix}.head.w"].tensor, store[f"{prefix}.head.b"].tensor)
+    return nc.linear(x, store["dur.head.w"].tensor, store["dur.head.b"].tensor)
 
 
 def durations_to_frames(log_d: np.ndarray) -> DurationVector:

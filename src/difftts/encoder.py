@@ -24,19 +24,20 @@ class TextEncoding:
 
 
 def init_params(store: nc.ParamStore, cfg: Config, vocab_size: int,
-                rng: np.random.Generator, prefix: str = "enc") -> None:
+                rng: np.random.Generator) -> None:
     d = cfg.model.d_model
     k = cfg.model.conv_kernel
-    store.create(f"{prefix}.emb", nc.normal_init(rng, (vocab_size, d), std=0.1))
+    d_head = d // cfg.model.n_heads
+    store.create("enc.emb", nc.normal_init(rng, (vocab_size, d), std=0.1))
     for i in range(cfg.model.n_enc_blocks):
-        b = f"{prefix}.block{i}"
+        b = f"enc.block{i}"
         store.create(f"{b}.ln1.gain", np.ones(d))
         store.create(f"{b}.ln1.bias", np.zeros(d))
-        d_head = d // cfg.model.n_heads
-        for h in range(cfg.model.n_heads):
-            store.create(f"{b}.attn.q{h}", nc.glorot(rng, d, d_head))
-            store.create(f"{b}.attn.k{h}", nc.glorot(rng, d, d_head))
-            store.create(f"{b}.attn.v{h}", nc.glorot(rng, d, d_head))
+        # head h owns columns h*d_head:(h+1)*d_head of the fused projections;
+        # draws keep the per-head q, k, v order
+        draws = [[nc.glorot(rng, d, d_head) for _ in "qkv"] for _ in range(cfg.model.n_heads)]
+        for j, name in enumerate("qkv"):
+            store.create(f"{b}.attn.{name}", np.concatenate([hd[j] for hd in draws], axis=1))
         store.create(f"{b}.attn.out", nc.glorot(rng, d, d))
         store.create(f"{b}.ln2.gain", np.ones(d))
         store.create(f"{b}.ln2.bias", np.zeros(d))
@@ -44,35 +45,35 @@ def init_params(store: nc.ParamStore, cfg: Config, vocab_size: int,
         store.create(f"{b}.ff1.b", np.zeros(d))
         store.create(f"{b}.ff2.w", nc.glorot(rng, k * d, d))
         store.create(f"{b}.ff2.b", np.zeros(d))
-    store.create(f"{prefix}.ln_out.gain", np.ones(d))
-    store.create(f"{prefix}.ln_out.bias", np.zeros(d))
-    store.create(f"{prefix}.mu.w", nc.glorot(rng, d, cfg.audio.n_mels))
-    store.create(f"{prefix}.mu.b", np.zeros(cfg.audio.n_mels))
+    store.create("enc.ln_out.gain", np.ones(d))
+    store.create("enc.ln_out.bias", np.zeros(d))
+    store.create("enc.mu.w", nc.glorot(rng, d, cfg.audio.n_mels))
+    store.create("enc.mu.b", np.zeros(cfg.audio.n_mels))
 
 
-def encode(store: nc.ParamStore, seq: PhonemeSequence, cfg: Config,
-           prefix: str = "enc") -> TextEncoding:
+def encode(store: nc.ParamStore, seq: PhonemeSequence, cfg: Config) -> TextEncoding:
     """Run the block stack; padded positions stay exactly zero throughout."""
-    emb = store[f"{prefix}.emb"].tensor
+    emb = store["enc.emb"].tensor
     if seq.ids.max() >= emb.shape[0]:
         raise nc.ShapeError("token id outside vocabulary range")
     mask = seq.mask
     k = cfg.model.conv_kernel
+    d = cfg.model.d_model
+    d_head = d // cfg.model.n_heads
     x = nc.apply_mask(nc.embedding(emb, seq.ids), mask)
     for i in range(cfg.model.n_enc_blocks):
-        b = f"{prefix}.block{i}"
+        b = f"enc.block{i}"
         h = nc.layer_norm(x, store[f"{b}.ln1.gain"].tensor, store[f"{b}.ln1.bias"].tensor)
         h = nc.apply_mask(h, mask)
-        heads = []
-        for hd in range(cfg.model.n_heads):
-            q = h @ store[f"{b}.attn.q{hd}"].tensor
-            kk = h @ store[f"{b}.attn.k{hd}"].tensor
-            v = h @ store[f"{b}.attn.v{hd}"].tensor
+        # one product per head with its column block of the fused q/k/v
+        # matrices: a single product per matrix rounds the backward sums
+        # differently and so changes every trained parameter
+        proj = [store[f"{b}.attn.{name}"].tensor for name in "qkv"]
+        a = None
+        for lo in range(0, d, d_head):
+            q, kk, v = (h @ nc.slice_cols(w, lo, lo + d_head) for w in proj)
             out, _ = nc.scaled_dot_attention(q, kk, v, mask=mask)
-            heads.append(out)
-        a = heads[0]
-        for extra in heads[1:]:
-            a = nc.concat_cols(a, extra)
+            a = out if a is None else nc.concat_cols(a, out)
         x = nc.apply_mask(x + a @ store[f"{b}.attn.out"].tensor, mask)
         h = nc.layer_norm(x, store[f"{b}.ln2.gain"].tensor, store[f"{b}.ln2.bias"].tensor)
         h = nc.apply_mask(h, mask)
@@ -80,9 +81,9 @@ def encode(store: nc.ParamStore, seq: PhonemeSequence, cfg: Config,
         h = nc.apply_mask(nc.tanh(h), mask)
         h = nc.conv1d(h, store[f"{b}.ff2.w"].tensor, store[f"{b}.ff2.b"].tensor, kernel=k)
         x = nc.apply_mask(x + h, mask)
-    x = nc.layer_norm(x, store[f"{prefix}.ln_out.gain"].tensor, store[f"{prefix}.ln_out.bias"].tensor)
+    x = nc.layer_norm(x, store["enc.ln_out.gain"].tensor, store["enc.ln_out.bias"].tensor)
     x = nc.apply_mask(x, mask)
-    mu = nc.linear(x, store[f"{prefix}.mu.w"].tensor, store[f"{prefix}.mu.b"].tensor)
+    mu = nc.linear(x, store["enc.mu.w"].tensor, store["enc.mu.b"].tensor)
     mu = nc.apply_mask(mu, mask)
     return TextEncoding(x, mu, mask)
 

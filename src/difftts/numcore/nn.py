@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _node, _wrap
+from .tensor import ShapeError, Tensor, _node, concat_cols, slice_cols
 
 
 class DegenerateRowError(ValueError):
@@ -26,10 +26,6 @@ class Parameter:
     @property
     def value(self) -> np.ndarray:
         return self.tensor.data
-
-    @property
-    def gradient(self) -> np.ndarray | None:
-        return self.tensor.grad
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
@@ -64,9 +60,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for p in self._params.values():
             p.tensor.zero_grad()
-
-    def n_entries(self) -> int:
-        return sum(p.value.size for p in self._params.values())
 
 
 class Adam:
@@ -251,6 +244,24 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
         full_mask = np.broadcast_to(key_mask[None, :], (q.shape[0], k.shape[0]))
     weights = softmax_rows(scores, full_mask)
     return weights @ v, weights
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Attention per column block of width d/heads; head outputs side by side.
+
+    ``q``, ``k`` and ``v`` are already projected; head h reads columns
+    h*d_head:(h+1)*d_head of each and is scaled by 1/sqrt(d_head).
+    """
+    d = q.shape[1]
+    if heads < 1 or d % heads or k.shape[1] != d or v.shape[1] != d:
+        raise ShapeError(f"cannot split widths {d}, {k.shape[1]}, {v.shape[1]} into {heads} heads")
+    d_head = d // heads
+    out = None
+    for lo in range(0, d, d_head):
+        piece, _ = scaled_dot_attention(slice_cols(q, lo, lo + d_head), slice_cols(k, lo, lo + d_head),
+                                        slice_cols(v, lo, lo + d_head))
+        out = piece if out is None else concat_cols(out, piece)
+    return out
 
 
 def sinusoidal_embedding(t: float, dim: int, dtype=np.float64) -> np.ndarray:

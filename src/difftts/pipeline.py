@@ -7,15 +7,14 @@ unbroken one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import aligner, checkpoint, diffusion, durpred, encoder, speaker
 from . import numcore as nc
-from .audio import (LOG_FLOOR, MelSpectrogram, MelStats, Waveform, broadcast_mean,
-                    griffin_lim, wav_to_mel)
+from .audio import (LOG_FLOOR, ConfigMismatchError, MelSpectrogram, MelStats, Waveform,
+                    broadcast_mean, griffin_lim, wav_to_mel)
 from .config import Config
 from .corpus import Utterance, require_reference_material, speaker_pools
 from .durpred import DurationVector
@@ -28,12 +27,11 @@ _INIT, _ORDER, _STEP, _CROP, _SAMPLE = range(5)
 class TTSModel:
     """Parameter store plus config/vocab; everything forward passes need."""
 
-    def __init__(self, cfg: Config, vocab: Vocabulary, seed: int = 0,
-                 dtype=np.float32):
+    def __init__(self, cfg: Config, vocab: Vocabulary, seed: int = 0):
         self.cfg = cfg
         self.vocab = vocab
-        self.store = nc.ParamStore(dtype=dtype)
-        self.schedule = diffusion.NoiseSchedule(cfg.schedule.beta0, cfg.schedule.beta1)
+        self.store = nc.ParamStore()
+        self.schedule = cfg.schedule
         rng = np.random.default_rng([seed, _INIT])
         encoder.init_params(self.store, cfg, len(vocab), rng)
         durpred.init_params(self.store, cfg, rng)
@@ -83,7 +81,7 @@ def _utterance_losses(model: TTSModel, utt: Utterance, seq: PhonemeSequence,
     l_dur = durpred.duration_loss(log_d, align.durations, seq.mask)
     e_s = speaker.embed_tensor(store, utt.mel)
     l_diff = diffusion.diffusion_loss(store, mel64.astype(store.dtype), frame_mu, e_s,
-                                      rng, model.schedule, cfg, t_min=cfg.schedule.t_min)
+                                      rng, cfg.schedule, cfg)
     return l_enc, l_dur, l_diff
 
 
@@ -213,18 +211,23 @@ class SynthesisResult:
 
 
 def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
-               gamma: float, steps: int, seed: int, temperature: float | None = None,
-               gl_iterations: int = 32) -> SynthesisResult:
-    """Text + one reference recording -> mel -> waveform."""
+               gamma: float, steps: int, seed: int) -> SynthesisResult:
+    """Text + one reference recording -> mel -> waveform.
+
+    ``stats`` must come from the model's analysis config, or the mean-mel
+    guidance anchor would sit in another feature space.
+    """
     cfg = model.cfg
     store = model.store
+    if stats.fingerprint != cfg.audio.fingerprint():
+        raise ConfigMismatchError("mel stats were computed under a different analysis config "
+                                  "than the model's; rerun `difftts stats` with its config")
     if reference.sample_rate != cfg.audio.sample_rate:
         from .audio import resample
         reference = resample(reference, cfg.audio.sample_rate)
     ref_mel = wav_to_mel(reference, cfg.audio)
     seq = model.encode_text(text)
-    temp = cfg.guidance.temperature if temperature is None else temperature
-    guide = diffusion.GuidanceConfig(gamma=gamma, steps=steps, temperature=temp)
+    guide = replace(cfg.guidance, gamma=gamma, steps=steps)
 
     with nc.no_grad():
         enc = encoder.encode(store, seq, cfg)
@@ -241,12 +244,12 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
     c_mel = broadcast_mean(stats, frame_mu.shape[0], cfg.audio.sample_rate,
                            cfg.audio.hop_length).values
     mel_values = diffusion.reverse_sample(
-        store, frame_mu, e_s.vector, guide, model.schedule, cfg,
-        seed=[seed, _SAMPLE], cond_mel=c_mel, t_min=cfg.schedule.t_min)
+        store, frame_mu, e_s.vector, guide, cfg.schedule, cfg,
+        seed=[seed, _SAMPLE], cond_mel=c_mel)
     # a weakly trained score lets the reverse dynamics wander; clamp into the
     # valid log-magnitude range before inverting to audio
     mel_values = np.clip(mel_values.astype(np.float64), np.log(LOG_FLOOR), 20.0)
     mel = MelSpectrogram(mel_values, cfg.audio.sample_rate,
                          cfg.audio.hop_length, cfg.audio.n_mels)
-    wave = griffin_lim(mel, cfg.audio, iterations=gl_iterations, seed=seed)
+    wave = griffin_lim(mel, cfg.audio, seed=seed)
     return SynthesisResult(mel, durations, wave)

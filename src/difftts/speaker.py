@@ -36,9 +36,9 @@ class SpeakerEmbedding:
 
 
 def init_params(store: nc.ParamStore, n_mels: int, d_spk: int,
-                rng: np.random.Generator, prefix: str = "spk") -> None:
-    store.create(f"{prefix}.w", nc.glorot(rng, 2 * n_mels, d_spk))
-    store.create(f"{prefix}.b", np.zeros(d_spk))
+                rng: np.random.Generator) -> None:
+    store.create("spk.w", nc.glorot(rng, 2 * n_mels, d_spk))
+    store.create("spk.b", np.zeros(d_spk))
 
 
 def _pool_stats(mel: MelSpectrogram) -> np.ndarray:
@@ -48,19 +48,17 @@ def _pool_stats(mel: MelSpectrogram) -> np.ndarray:
     return np.concatenate([mean, std])
 
 
-def embed_tensor(store: nc.ParamStore, mel: MelSpectrogram, prefix: str = "spk") -> nc.Tensor:
+def embed_tensor(store: nc.ParamStore, mel: MelSpectrogram) -> nc.Tensor:
     """Differentiable embedding as a graph tensor (training path)."""
     stats = nc.Tensor(_pool_stats(mel).astype(store.dtype))
-    w = store[f"{prefix}.w"].tensor
-    b = store[f"{prefix}.b"].tensor
-    raw = stats.reshape(1, -1) @ w + b
+    raw = stats.reshape(1, -1) @ store["spk.w"].tensor + store["spk.b"].tensor
     return nc.l2_normalize(raw.reshape(-1))
 
 
-def embed_baseline(store: nc.ParamStore, mel: MelSpectrogram, prefix: str = "spk") -> SpeakerEmbedding:
+def embed_baseline(store: nc.ParamStore, mel: MelSpectrogram) -> SpeakerEmbedding:
     """Stats pooling -> learned linear map -> unit normalization."""
     with nc.no_grad():
-        vec = embed_tensor(store, mel, prefix).data
+        vec = embed_tensor(store, mel).data
     return SpeakerEmbedding(vec.astype(np.float64))
 
 
@@ -87,17 +85,6 @@ def load_external_embedding(path) -> SpeakerEmbedding:
     norm = np.linalg.norm(values)
     if norm == 0.0:
         raise EmbeddingFormatError(f"{path}: zero vector")
-    return SpeakerEmbedding(values / norm)
-
-
-def normalize_vector(values: np.ndarray) -> SpeakerEmbedding:
-    """L2-normalize a raw vector into a SpeakerEmbedding."""
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise EmbeddingFormatError("non-finite values")
-    norm = np.linalg.norm(values)
-    if norm == 0.0:
-        raise EmbeddingFormatError("zero vector")
     return SpeakerEmbedding(values / norm)
 
 

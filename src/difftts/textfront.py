@@ -93,13 +93,6 @@ def encode_text(text: str, vocab: Vocabulary, mode: str = "characters") -> Phone
     return PhonemeSequence(ids, np.ones(ids.size, dtype=bool))
 
 
-def decode_ids(ids: Sequence[int], vocab: Vocabulary, mode: str = "characters") -> str:
-    inv = {i: s for s, i in vocab.symbol_to_id.items()}
-    symbols = [inv[i] for i in ids if i not in (PAD_ID, UNK_ID)]
-    sep = "" if mode == "characters" else " "
-    return sep.join(symbols)
-
-
 def pad_batch(seqs: Sequence[PhonemeSequence]) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad to the longest sequence with PAD_ID; masks mark real slots."""
     if not seqs:
@@ -112,25 +105,3 @@ def pad_batch(seqs: Sequence[PhonemeSequence]) -> tuple[np.ndarray, np.ndarray]:
         masks[r, :len(s)] = s.mask
     return ids, masks
 
-
-def save_vocab(path, vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for symbol, sid in sorted(vocab.symbol_to_id.items(), key=lambda kv: kv[1]):
-            f.write(f"{symbol}\t{sid}\n")
-
-
-def load_vocab(path) -> Vocabulary:
-    mapping: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise VocabularyError(f"line {lineno}: expected symbol<TAB>id")
-            try:
-                mapping[parts[0]] = int(parts[1])
-            except ValueError as exc:
-                raise VocabularyError(f"line {lineno}: bad id {parts[1]!r}") from exc
-    return Vocabulary(mapping)

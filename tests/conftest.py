@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from difftts.audio import AnalysisConfig
-from difftts.config import Config, ModelConfig, ScheduleConfig, TrainConfig
+from difftts.config import Config, ModelConfig
 
 
 def tiny_config(n_mels=6, d_model=8, blocks=2, heads=2, d_spk=4, dec_channels=8):

@@ -59,3 +59,21 @@ def test_rejects_trailing_bytes(tmp_path):
     p.write_bytes(p.read_bytes() + bytes(9))
     with pytest.raises(ck.CheckpointError, match="trailing"):
         ck.load_checkpoint(p)
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path):
+    p = tmp_path / "m.ckpt"
+    ck.save_checkpoint(p, bytes(32), {"w": np.ones(10, dtype=np.float32)})
+    before = p.read_bytes()
+
+    class Unwritable:
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("disk full")
+
+    # the first tensor is written before the second one fails
+    with pytest.raises(OSError, match="disk full"):
+        ck.save_checkpoint(p, bytes(32), {"w": np.zeros(10, dtype=np.float32), "x": Unwritable()})
+    assert p.read_bytes() == before
+    _, back = ck.load_checkpoint(p)
+    assert np.array_equal(back["w"], np.ones(10, dtype=np.float32))
+    assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]

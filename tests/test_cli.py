@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from difftts import cli, pipeline, toydata
-from difftts.audio import load_mel_stats
+from difftts import checkpoint, cli, pipeline, toydata
+from difftts.audio import (AnalysisConfig, ConfigMismatchError, MelStats, load_mel_stats, load_wav,
+                           save_mel_stats)
 from difftts.checkpoint import CheckpointError, load_checkpoint
 from difftts.config import parse_config
 from difftts.corpus import load_corpus
@@ -88,6 +89,46 @@ def test_train_single_utterance_speaker_fails(tmp_path, cfg_file, capsys):
                    "--out", tmp_path / "x.ckpt") == 1
     err = capsys.readouterr().err
     assert "spk0" in err and "spk1" in err
+
+
+def test_train_writes_final_checkpoint_once(corpus_dir, cfg_file, tmp_path, monkeypatch):
+    writes = []
+    real = checkpoint.save_checkpoint
+
+    def counting(path, *args):
+        writes.append(str(path))
+        return real(path, *args)
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", counting)
+    ck = tmp_path / "m.ckpt"
+    assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_file,
+                   "--out", ck, "--epochs", 2) == 0
+    assert writes == [str(ck)]
+    pipeline.load_trainer(ck)
+
+
+def test_train_rejects_zero_epochs(corpus_dir, cfg_file, tmp_path, capsys):
+    ck = tmp_path / "m.ckpt"
+    assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_file,
+                   "--out", ck, "--stats", tmp_path / "s.bin", "--epochs", 0) == 1
+    assert "--epochs" in capsys.readouterr().err
+    assert not ck.exists()
+
+
+def foreign_stats(path):
+    """Mel stats stamped with another analysis config (hop 256, not the tiny hop 512)."""
+    save_mel_stats(path, MelStats(np.zeros(80), 1, AnalysisConfig().fingerprint()))
+    return path
+
+
+def test_train_rejects_stats_from_another_config(corpus_dir, cfg_file, tmp_path, capsys):
+    stats = foreign_stats(tmp_path / "foreign.bin")
+    ck = tmp_path / "m.ckpt"
+    assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_file,
+                   "--out", ck, "--stats", stats) == 1
+    err = capsys.readouterr().err
+    assert "foreign.bin" in err and "analysis config" in err
+    assert not ck.exists()
 
 
 def test_checkpoint_round_trip_and_resume(corpus_dir, cfg_file, tmp_path):
@@ -179,6 +220,39 @@ def test_synth_missing_stats_instructs_stats_command(trained, corpus_dir, tmp_pa
                    "--ref", ref, "--out", tmp_path / "o.wav",
                    "--stats", missing) == 1
     assert "difftts stats" in capsys.readouterr().err
+
+
+def test_synth_rejects_stats_from_another_config(trained, corpus_dir, tmp_path, capsys):
+    stats = foreign_stats(tmp_path / "foreign.bin")
+    assert run_cli("synth", "--checkpoint", trained["checkpoint"], "--text", "ab",
+                   "--ref", corpus_dir / "spk0_u0.wav", "--out", tmp_path / "o.wav",
+                   "--steps", "2", "--stats", stats) == 1
+    assert "foreign.bin" in capsys.readouterr().err
+    trainer, _ = pipeline.load_trainer(trained["checkpoint"])
+    with pytest.raises(ConfigMismatchError):
+        pipeline.synthesize(trainer.model, load_mel_stats(stats), "ab",
+                            load_wav(corpus_dir / "spk0_u0.wav"), gamma=1.0, steps=2, seed=0)
+
+
+def test_synth_defaults_come_from_checkpoint_config(corpus_dir, tmp_path, monkeypatch):
+    cfg_path = tmp_path / "guided.cfg"
+    cfg_path.write_text(TINY_CFG_TEXT + "guidance.steps=3\nguidance.gamma=0\n", encoding="utf-8")
+    ck = tmp_path / "m.ckpt"
+    assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_path, "--out", ck,
+                   "--stats", tmp_path / "s.bin", "--epochs", 1) == 0
+    seen = []
+    real = pipeline.synthesize
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["gamma"], kwargs["steps"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "synthesize", spy)
+    synth = ("synth", "--checkpoint", ck, "--text", "ab", "--ref", corpus_dir / "spk0_u0.wav",
+             "--out", tmp_path / "o.wav")
+    assert run_cli(*synth) == 0
+    assert run_cli(*synth, "--gamma", "0.5", "--steps", "2") == 0
+    assert seen == [(0.0, 3), (0.5, 2)]
 
 
 # -- eval -------------------------------------------------------------------------

@@ -51,5 +51,5 @@ def test_fingerprint_changes_with_values():
 def test_file_round_trip(tmp_path):
     cfg = cf.parse_config("model.d_model=16\nmodel.n_heads=2\n")
     p = tmp_path / "run.cfg"
-    cf.save_config(p, cfg)
+    p.write_text("\n".join(cfg.to_lines()) + "\n", encoding="utf-8")
     assert cf.load_config(p) == cfg

@@ -283,11 +283,9 @@ def test_single_step_matches_hand_update(tiny_cfg):
     rng = np.random.default_rng(13)
     mu = rng.standard_normal((3, tiny_cfg.audio.n_mels))
     spk = rng.standard_normal(tiny_cfg.model.d_spk)
-    t_min = 1e-3
     guide = diffusion.GuidanceConfig(gamma=0.0, steps=1, temperature=2.0)
-    out = diffusion.reverse_sample(store, mu, spk, guide, SCHED, tiny_cfg, seed=5,
-                                   t_min=t_min)
+    out = diffusion.reverse_sample(store, mu, spk, guide, SCHED, tiny_cfg, seed=5)
     x1 = mu + math.sqrt(2.0) * np.random.default_rng(5).standard_normal(mu.shape)
-    h = 1.0 - t_min
+    h = 1.0 - SCHED.t_min
     expected = x1 - h * SCHED.beta(1.0) * 0.5 * (mu - x1)
     np.testing.assert_allclose(out, expected, rtol=1e-6)

@@ -64,17 +64,12 @@ def test_never_returns_target_content_with_alternative():
         assert np.all(ref.mel.values == -5.0)
 
 
-def test_single_utterance_uses_disjoint_region():
-    values = np.arange(60.0).reshape(60, 1) * np.ones((60, 6))
-    pool = {"only": mel_of(values)}
+def test_single_utterance_pool_is_rejected():
+    pool = {"only": mel_of(np.ones((60, 6)))}
     with pytest.raises(durpred.ReferenceUnavailableError):
         durpred.crop_reference(pool, "only", np.random.default_rng(0), REF_LEN)
-    ref = durpred.crop_reference(pool, "only", np.random.default_rng(0), REF_LEN,
-                                 target_region=(0, 40))
-    assert np.all(ref.mel.values[:, 0] >= 40.0)
     with pytest.raises(durpred.ReferenceUnavailableError):
-        durpred.crop_reference(pool, "only", np.random.default_rng(0), REF_LEN,
-                               target_region=(0, 60))
+        durpred.crop_reference({}, "only", np.random.default_rng(0), REF_LEN)
 
 
 # -- cross attention ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,19 @@ def make_store(n_mels=20, d_spk=8, seed=0):
 def mel_from(values):
     values = np.asarray(values, dtype=float)
     return MelSpectrogram(values, 22050, 256, values.shape[1])
+
+
+def unit(values):
+    """L2-normalize a raw vector into a SpeakerEmbedding."""
+    values = np.asarray(values, dtype=np.float64)
+    return speaker.SpeakerEmbedding(values / np.linalg.norm(values))
+
+
+def raw_file(path, values):
+    """An SPKEMB file holding values as stored, without normalizing them."""
+    values = np.asarray(values, dtype="<f4")
+    path.write_bytes(speaker.SPKEMB_MAGIC + struct.pack("<I", values.size) + values.tobytes())
+    return path
 
 
 def test_embedding_is_unit_norm():
@@ -47,11 +62,7 @@ def test_same_speaker_windows_closer_than_cross_speaker():
 
 
 def test_external_embedding_normalized(tmp_path):
-    p = tmp_path / "e.bin"
-    raw = speaker.normalize_vector(np.array([3.0, 4.0]))
-    np.testing.assert_allclose(raw.vector, [0.6, 0.8], atol=1e-9)
-    speaker.save_embedding(p, raw)
-    back = speaker.load_external_embedding(p)
+    back = speaker.load_external_embedding(raw_file(tmp_path / "e.bin", [3.0, 4.0]))
     np.testing.assert_allclose(back.vector, [0.6, 0.8], atol=1e-7)
 
 
@@ -63,9 +74,9 @@ def test_external_embedding_unit_vector_unchanged(tmp_path):
     np.testing.assert_allclose(back.vector, v, atol=1e-7)
 
 
-def test_zero_vector_rejected():
-    with pytest.raises(speaker.EmbeddingFormatError):
-        speaker.normalize_vector(np.zeros(4))
+def test_zero_vector_rejected(tmp_path):
+    with pytest.raises(speaker.EmbeddingFormatError, match="zero vector"):
+        speaker.load_external_embedding(raw_file(tmp_path / "zero.bin", np.zeros(4)))
 
 
 def test_garbage_file_rejected(tmp_path):
@@ -76,7 +87,7 @@ def test_garbage_file_rejected(tmp_path):
 
 
 def test_sim_o_basics():
-    v = speaker.normalize_vector(np.array([1.0, 2.0, 2.0]))
+    v = unit(np.array([1.0, 2.0, 2.0]))
     neg = speaker.SpeakerEmbedding(-v.vector)
     assert speaker.sim_o(v, v) == pytest.approx(1.0)
     assert speaker.sim_o(v, neg) == pytest.approx(-1.0)
@@ -88,8 +99,8 @@ def test_sim_o_basics():
 def test_sim_o_symmetric_and_bounded():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        a = speaker.normalize_vector(rng.standard_normal(16))
-        b = speaker.normalize_vector(rng.standard_normal(16))
+        a = unit(rng.standard_normal(16))
+        b = unit(rng.standard_normal(16))
         assert speaker.sim_o(a, b) == pytest.approx(speaker.sim_o(b, a), abs=1e-12)
         assert abs(speaker.sim_o(a, b)) <= 1.0 + 1e-9
 
@@ -101,9 +112,10 @@ def test_sim_o_dimension_mismatch():
         speaker.sim_o(a, b)
 
 
-def test_sim_o_invariant_to_positive_rescaling():
+def test_sim_o_invariant_to_positive_rescaling(tmp_path):
     rng = np.random.default_rng(6)
     raw = rng.standard_normal(8)
-    a = speaker.normalize_vector(raw)
-    b = speaker.normalize_vector(7.5 * raw)
-    np.testing.assert_allclose(a.vector, b.vector, atol=1e-12)
+    a = speaker.load_external_embedding(raw_file(tmp_path / "a.bin", raw))
+    b = speaker.load_external_embedding(raw_file(tmp_path / "b.bin", 7.5 * raw))
+    np.testing.assert_allclose(a.vector, b.vector, atol=1e-6)
+    assert speaker.sim_o(a, b) == pytest.approx(1.0)
