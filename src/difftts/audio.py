@@ -181,16 +181,20 @@ def frame_count(n_samples: int, hop_length: int) -> int:
     return 1 + n_samples // hop_length
 
 
-def _stft_complex(samples: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
+def _stft_complex(samples: np.ndarray, cfg: AnalysisConfig,
+                  win: np.ndarray | None = None) -> np.ndarray:
+    """Centered complex STFT; ``win`` is ``_window(cfg)`` when a caller has it at hand."""
     samples = np.asarray(samples, dtype=np.float64)
     n_frames = frame_count(samples.size, cfg.hop_length)
     if samples.size < cfg.n_fft:  # reflect padding needs a full window
         samples = np.pad(samples, (0, cfg.n_fft - samples.size))
     half = cfg.n_fft // 2
-    padded = np.pad(samples, (half, half), mode="reflect")
-    starts = np.arange(n_frames) * cfg.hop_length
-    frames = padded[starts[:, None] + np.arange(cfg.n_fft)[None, :]]
-    return np.fft.rfft(frames * _window(cfg)[None, :], axis=1)
+    # an odd n_fft needs one more sample on the right for the last frame
+    padded = np.pad(samples, (half, cfg.n_fft - half), mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[::cfg.hop_length][:n_frames]
+    if win is None:
+        win = _window(cfg)
+    return np.fft.rfft(frames * win[None, :], axis=1)
 
 
 def stft_magnitude(samples: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
@@ -201,20 +205,41 @@ def stft_magnitude(samples: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
     return np.abs(_stft_complex(samples, cfg))
 
 
-def _istft(spec: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
-    """Least-squares inverse STFT (windowed overlap-add / window-square sum)."""
-    win = _window(cfg)
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum frames[i] into a signal at offset i * hop, one tap block at a time.
+
+    Tap block r (taps r*hop up to (r+1)*hop) of every frame lands on a
+    distinct hop-long chunk, so one vectorized add places it.  A sample's
+    later frames reach it through earlier tap blocks; running the blocks
+    from last to first therefore adds each sample's frames in increasing
+    frame order, the order of a per-frame loop, and gives its exact sums.
+    """
+    n_frames, n = frames.shape
+    blocks = -(-n // hop)  # ceil
+    out = np.zeros((n_frames - 1 + blocks, hop))
+    for r in reversed(range(blocks)):
+        lo = r * hop
+        width = min(hop, n - lo)
+        out[r:r + n_frames, :width] += frames[:, lo:lo + width]
+    return out.reshape(-1)[:(n_frames - 1) * hop + n]
+
+
+def _istft_norm(n_frames: int, win: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
+    """Overlap-added window squares, floored: the least-squares iSTFT divisor."""
+    wsq = np.broadcast_to(win * win, (n_frames, win.size))
+    return np.maximum(_overlap_add(wsq, cfg.hop_length), 1e-10)
+
+
+def _istft(spec: np.ndarray, cfg: AnalysisConfig, win: np.ndarray,
+           norm: np.ndarray) -> np.ndarray:
+    """Least-squares inverse STFT (windowed overlap-add / window-square sum).
+
+    ``win`` is ``_window(cfg)`` and ``norm`` is ``_istft_norm`` for this
+    frame count; Griffin-Lim builds both once for all of its iterations.
+    """
     frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1) * win[None, :]
-    n_frames = spec.shape[0]
-    total = (n_frames - 1) * cfg.hop_length + cfg.n_fft
-    out = np.zeros(total)
-    norm = np.zeros(total)
-    wsq = win * win
-    for i in range(n_frames):
-        s = i * cfg.hop_length
-        out[s:s + cfg.n_fft] += frames[i]
-        norm[s:s + cfg.n_fft] += wsq
-    out = out / np.maximum(norm, 1e-10)
+    out = _overlap_add(frames, cfg.hop_length) / norm
+    total = out.size
     half = cfg.n_fft // 2
     end = max(total - half, half + cfg.hop_length)  # never return empty audio
     return out[half:end]
@@ -322,13 +347,15 @@ def _mel_to_linear_magnitude(m: MelSpectrogram, cfg: AnalysisConfig) -> np.ndarr
 
 def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int, seed: int) -> np.ndarray:
     n_frames = target.shape[0]
+    win = _window(cfg)
+    norm = _istft_norm(n_frames, win, cfg)
     rng = np.random.default_rng(seed)
     phase = np.exp(2j * np.pi * rng.random(target.shape))
-    x = _istft(target * phase, cfg)
+    x = _istft(target * phase, cfg, win, norm)
     for _ in range(iterations - 1):
-        spec = _stft_complex(x, cfg)[:n_frames]
+        spec = _stft_complex(x, cfg, win)[:n_frames]
         phase = spec / np.maximum(np.abs(spec), 1e-12)
-        x = _istft(target * phase, cfg)
+        x = _istft(target * phase, cfg, win, norm)
     return x
 
 

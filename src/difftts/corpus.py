@@ -5,11 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .audio import AnalysisConfig, MelSpectrogram, Waveform, load_wav, resample, wav_to_mel
+from .audio import MelSpectrogram, load_wav, resample, wav_to_mel
 from .config import Config
-from .textfront import PhonemeSequence, Vocabulary, encode_text
 
 
 class CorpusError(ValueError):

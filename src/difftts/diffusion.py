@@ -14,7 +14,7 @@ dataset-mean mel as condition, holding the speaker embedding fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,10 +27,15 @@ class ScoreCondition:
     """Decoder conditioning: a frame-level mel condition plus a speaker vector.
 
     Either field may be a graph Tensor (training) or an ndarray (sampling);
-    ``score_net`` turns arrays into tensors.
+    ``score_net`` turns arrays into tensors.  ``mel`` may carry a leading
+    batch axis of conditions that share the speaker.  ``speaker_rows`` may
+    hold ``speaker_rows(store, speaker)`` computed ahead, valid while the
+    store's parameters stay unchanged; ``score_net`` computes them when it
+    is None.
     """
-    mel: object       # frames x n_mels (aligned text mu, or mean-mel broadcast)
+    mel: object       # [batch x] frames x n_mels (aligned text mu, or mean-mel broadcast)
     speaker: object   # (d_spk,) unit norm
+    speaker_rows: list | None = None
 
 
 def forward_diffuse(x0, mu, t: float, noise, schedule: NoiseSchedule):
@@ -51,6 +56,9 @@ def forward_diffuse(x0, mu, t: float, noise, schedule: NoiseSchedule):
 # -- score network -------------------------------------------------------------
 
 
+_BLOCKS = ("down0", "down1", "mid", "up1", "up0")
+
+
 def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator) -> None:
     c = cfg.model.dec_channels
     k = cfg.model.conv_kernel
@@ -58,7 +66,7 @@ def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator) -> 
     d_spk = cfg.model.d_spk
     store.create("dec.in.w", nc.glorot(rng, k * 2 * n_mels, c))
     store.create("dec.in.b", np.zeros(c))
-    for name in ("down0", "down1", "mid", "up1", "up0"):
+    for name in _BLOCKS:
         b = f"dec.{name}"
         store.create(f"{b}.ln.gain", np.ones(c))
         store.create(f"{b}.ln.bias", np.zeros(c))
@@ -73,10 +81,22 @@ def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator) -> 
     store.create("dec.out.b", np.zeros(n_mels))
 
 
-def _res_block(store: nc.ParamStore, x: nc.Tensor, t_emb: nc.Tensor,
-               spk: nc.Tensor, name: str, kernel: int) -> nc.Tensor:
-    t_add = nc.linear(t_emb, store[f"{name}.time.w"].tensor, store[f"{name}.time.b"].tensor)
-    s_add = nc.linear(spk, store[f"{name}.spk.w"].tensor, store[f"{name}.spk.b"].tensor)
+def _tensor(store: nc.ParamStore, v) -> nc.Tensor:
+    return v if isinstance(v, nc.Tensor) else nc.Tensor(np.asarray(v, dtype=store.dtype))
+
+
+def _block_rows(store: nc.ParamStore, row: nc.Tensor, kind: str) -> list[nc.Tensor]:
+    return [nc.linear(row, store[f"dec.{b}.{kind}.w"].tensor, store[f"dec.{b}.{kind}.b"].tensor)
+            for b in _BLOCKS]
+
+
+def speaker_rows(store: nc.ParamStore, speaker) -> list[nc.Tensor]:
+    """Each residual block's projection of the speaker vector, a 1 x C row per block."""
+    return _block_rows(store, _tensor(store, speaker).reshape(1, -1), "spk")
+
+
+def _res_block(store: nc.ParamStore, x: nc.Tensor, t_add: nc.Tensor,
+               s_add: nc.Tensor, name: str, kernel: int) -> nc.Tensor:
     h = x + t_add + s_add  # row vectors broadcast over frames
     h = nc.layer_norm(h, store[f"{name}.ln.gain"].tensor, store[f"{name}.ln.bias"].tensor)
     h = nc.tanh(h)
@@ -85,35 +105,42 @@ def _res_block(store: nc.ParamStore, x: nc.Tensor, t_emb: nc.Tensor,
 
 
 def _upsample_to(x: nc.Tensor, frames: int) -> nc.Tensor:
-    doubled = nc.repeat_rows(x, np.full(x.shape[0], 2, dtype=np.int64))
-    if doubled.shape[0] == frames:
+    doubled = nc.repeat_rows(x, np.full(x.shape[-2], 2, dtype=np.int64))
+    if doubled.shape[-2] == frames:
         return doubled
     return nc.slice_rows(doubled, 0, frames)
 
 
 def score_net(store: nc.ParamStore, x_t, t: float, cond: ScoreCondition,
               cfg: Config) -> nc.Tensor:
-    """Predict the injected noise from (X_t, conditions, t): a small conv U."""
-    c = cfg.model.dec_channels
+    """Predict the injected noise from (X_t, conditions, t): a small conv U.
+
+    ``x_t`` is frames x n_mels.  With a batch of mel conditions (B x frames
+    x n_mels) every condition sees the same ``x_t``, ``t`` and speaker in
+    one pass, and the result is B x frames x n_mels; slice b equals the
+    unbatched result for condition b bit for bit.
+    """
     k = cfg.model.conv_kernel
-    x, mel, spk = (v if isinstance(v, nc.Tensor) else nc.Tensor(np.asarray(v, dtype=store.dtype))
-                   for v in (x_t, cond.mel, cond.speaker))
-    if x.shape != mel.shape:
+    x, mel = _tensor(store, x_t), _tensor(store, cond.mel)
+    if x.data.ndim != 2 or x.shape != mel.shape[-2:]:
         raise nc.ShapeError(f"sample/condition shapes disagree: {x.shape} vs {mel.shape}")
-    spk = spk.reshape(1, -1)
-    t_emb = nc.Tensor(nc.sinusoidal_embedding(t, c, dtype=store.dtype))
+    t_emb = nc.Tensor(nc.sinusoidal_embedding(t, cfg.model.dec_channels, dtype=store.dtype))
+    t_rows = _block_rows(store, t_emb, "time")
+    s_rows = cond.speaker_rows
+    if s_rows is None:
+        s_rows = speaker_rows(store, cond.speaker)
+    adds = {b: (t_add, s_add) for b, t_add, s_add in zip(_BLOCKS, t_rows, s_rows)}
+
+    def block(h: nc.Tensor, name: str) -> nc.Tensor:
+        return _res_block(store, h, *adds[name], f"dec.{name}", k)
 
     h = nc.concat_cols(x, mel)
     h0 = nc.conv1d(h, store["dec.in.w"].tensor, store["dec.in.b"].tensor, kernel=k)
-    h0 = _res_block(store, h0, t_emb, spk, "dec.down0", k)
-    h1 = nc.avg_pool_rows(h0)
-    h1 = _res_block(store, h1, t_emb, spk, "dec.down1", k)
-    h2 = nc.avg_pool_rows(h1)
-    h2 = _res_block(store, h2, t_emb, spk, "dec.mid", k)
-    u1 = _upsample_to(h2, h1.shape[0]) + h1
-    u1 = _res_block(store, u1, t_emb, spk, "dec.up1", k)
-    u0 = _upsample_to(u1, h0.shape[0]) + h0
-    u0 = _res_block(store, u0, t_emb, spk, "dec.up0", k)
+    h0 = block(h0, "down0")
+    h1 = block(nc.avg_pool_rows(h0), "down1")
+    h2 = block(nc.avg_pool_rows(h1), "mid")
+    u1 = block(_upsample_to(h2, h1.shape[-2]) + h1, "up1")
+    u0 = block(_upsample_to(u1, h0.shape[-2]) + h0, "up0")
     return nc.conv1d(u0, store["dec.out.w"].tensor, store["dec.out.b"].tensor, kernel=k)
 
 
@@ -150,17 +177,25 @@ def guided_score(s_cond, s_uncond, gamma: float):
 def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
               cond_c: ScoreCondition, cond_mel: ScoreCondition | None,
               gamma: float, schedule: NoiseSchedule, cfg: Config) -> np.ndarray:
-    """Guided score; gamma 0 short-circuits to the conditional score."""
-    with nc.no_grad():
-        eps_c = score_net(store, x_t, t, cond_c, cfg).data
-    s_c = score_from_noise(eps_c, t, schedule)
+    """Guided score; gamma 0 short-circuits to the conditional score.
+
+    At gamma > 0 both conditions go through one ``score_net`` pass with the
+    mels stacked on a batch axis.  Guidance holds the speaker fixed, so both
+    conditions must carry the same speaker vector.
+    """
     if gamma == 0.0 or cond_mel is None:
-        return s_c
+        with nc.no_grad():
+            eps_c = score_net(store, x_t, t, cond_c, cfg).data
+        return score_from_noise(eps_c, t, schedule)
     if cond_mel.mel.shape != cond_c.mel.shape:
         raise nc.ShapeError("conditional and unconditional mels must share frame count")
+    if not np.array_equal(_tensor(store, cond_c.speaker).data,
+                          _tensor(store, cond_mel.speaker).data):
+        raise ValueError("guidance holds the speaker fixed: both conditions need the same speaker")
+    mels = np.stack([_tensor(store, c.mel).data for c in (cond_c, cond_mel)])
     with nc.no_grad():
-        eps_u = score_net(store, x_t, t, cond_mel, cfg).data
-    s_u = score_from_noise(eps_u, t, schedule)
+        eps = score_net(store, x_t, t, replace(cond_c, mel=mels), cfg).data
+    s_c, s_u = score_from_noise(eps, t, schedule)
     return guided_score(s_c, s_u, gamma)
 
 
@@ -170,15 +205,18 @@ def reverse_sample(store: nc.ParamStore, mu: np.ndarray, speaker: np.ndarray,
     """Integrate dX = (mu/2 - X/2 - s) beta dt from t=1 down to schedule.t_min.
 
     Deterministic given the seed: randomness enters only through the initial
-    sample X_1 ~ N(mu, temperature * I).
+    sample X_1 ~ N(mu, temperature * I).  The speaker's block projections are
+    computed once, not once per step.
     """
     mu = np.asarray(mu, dtype=store.dtype)
     spk = np.asarray(speaker, dtype=store.dtype)
     rng = np.random.default_rng(seed)
     x = mu + math.sqrt(guidance.temperature) * rng.standard_normal(mu.shape).astype(store.dtype)
-    cond_c = ScoreCondition(mu, spk)
+    with nc.no_grad():
+        rows = speaker_rows(store, spk)
+    cond_c = ScoreCondition(mu, spk, rows)
     cond_u = None if cond_mel is None else ScoreCondition(
-        np.asarray(cond_mel, dtype=store.dtype), spk)
+        np.asarray(cond_mel, dtype=store.dtype), spk, rows)
     h = (1.0 - schedule.t_min) / guidance.steps
     for k in range(guidance.steps):
         t = 1.0 - k * h

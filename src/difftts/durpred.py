@@ -24,6 +24,16 @@ class InvalidTargetError(ValueError):
     """Duration targets must be strictly positive."""
 
 
+class DurationLimitError(ValueError):
+    """Predicted durations add up to more frames than one utterance may hold."""
+
+
+# Ceiling on an utterance's total predicted frames: about 12 minutes at the
+# default hop (22.05 kHz / 256).  A fixed constant, not a config key, so
+# checkpoint fingerprints do not depend on it.
+MAX_FRAMES = 1 << 16
+
+
 @dataclass
 class ReferenceMel:
     mel: MelSpectrogram
@@ -141,13 +151,25 @@ def predict_log_durations(store: nc.ParamStore, attended: nc.Tensor, text_emb: n
 
 
 def durations_to_frames(log_d: np.ndarray) -> DurationVector:
-    """Frame counts: max(1, round(exp(log_d))), rounding half away from zero."""
+    """Frame counts: max(1, round(exp(log_d))), rounding half away from zero.
+
+    Raises DurationLimitError, naming the first token that takes the running
+    total past MAX_FRAMES, when the counts add up to more than that.
+    """
     log_d = np.asarray(log_d, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(log_d)):
         raise ValueError("log-durations must be finite")
-    raw = np.exp(log_d)
-    rounded = np.floor(raw + 0.5)  # raw > 0, so half away from zero == half up
-    return DurationVector(np.maximum(rounded, 1.0).astype(np.int64), log_d)
+    with np.errstate(over="ignore"):
+        raw = np.exp(log_d)
+    rounded = np.maximum(np.floor(raw + 0.5), 1.0)  # raw > 0, so half away from zero == half up
+    totals = np.cumsum(rounded)
+    over = np.flatnonzero(totals > MAX_FRAMES)
+    if over.size:
+        i = int(over[0])
+        raise DurationLimitError(
+            f"token {i} ({rounded[i]:.4g} frames) brings the frame total to {totals[i]:.4g}, "
+            f"over the limit of {MAX_FRAMES} frames")
+    return DurationVector(rounded.astype(np.int64), log_d)
 
 
 def duration_loss(log_d_pred: nc.Tensor, true_frames: np.ndarray,

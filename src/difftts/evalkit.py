@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Sequence
 
 
 class EmptyReferenceError(ValueError):

@@ -1,7 +1,8 @@
 """Neural-net building blocks on top of the autodiff tape.
 
 Layers operate on 2-D tensors laid out as positions x channels (phonemes or
-frames along axis 0).  Masks are plain boolean ndarrays, never part of the
+frames along axis 0); ``conv1d`` and ``layer_norm`` also take a leading
+batch axis.  Masks are plain boolean ndarrays, never part of the
 graph.
 """
 
@@ -128,23 +129,26 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then affine rescale."""
-    if x.data.ndim != 2:
-        raise ShapeError("layer_norm expects a 2-D tensor")
-    n = x.shape[1]
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    """Normalize each row to zero mean / unit variance, then affine rescale.
+
+    ``x`` is rows x C or batch x rows x C; rows are normalized over axis -1.
+    """
+    if x.data.ndim not in (2, 3):
+        raise ShapeError("layer_norm expects a 2-D or 3-D tensor")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     out = xhat * gain.data + bias.data
+    lead = tuple(range(x.data.ndim - 1))
 
     def backward(g):
         dxhat = g * gain.data
-        dx = inv * (dxhat - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         x._accumulate(dx.astype(x.data.dtype, copy=False))
-        gain._accumulate((g * xhat).sum(axis=0).reshape(gain.shape))
-        bias._accumulate(g.sum(axis=0).reshape(bias.shape))
+        gain._accumulate((g * xhat).sum(axis=lead).reshape(gain.shape))
+        bias._accumulate(g.sum(axis=lead).reshape(bias.shape))
 
     return _node(out.astype(x.data.dtype, copy=False), (x, gain, bias), backward)
 
@@ -152,33 +156,34 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, kernel: int = 3) -> Tensor:
     """Same-padded 1-D convolution along rows via an im2col matmul.
 
-    ``x`` is time x C_in, ``w`` is (kernel*C_in) x C_out with taps ordered
+    ``x`` is time x C_in, or batch x time x C_in with one product per batch
+    slice; ``w`` is (kernel*C_in) x C_out with taps ordered
     [tap0 | tap1 | ...], each tap a C_in block.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError("conv1d expects 2-D tensors")
+    if x.data.ndim not in (2, 3) or w.data.ndim != 2:
+        raise ShapeError("conv1d expects a 2-D or 3-D input and a 2-D weight")
     if kernel < 1 or kernel % 2 == 0:
         raise ShapeError("conv1d kernel must be odd and positive")
-    t, cin = x.shape
+    t, cin = x.shape[-2:]
     if w.shape[0] != kernel * cin:
         raise ShapeError(f"weight rows {w.shape[0]} != kernel*C_in {kernel * cin}")
     half = kernel // 2
-    padded = np.zeros((t + 2 * half, cin), dtype=x.data.dtype)
-    padded[half:half + t] = x.data
-    cols = np.concatenate([padded[k:k + t] for k in range(kernel)], axis=1)
+    padded = np.zeros(x.shape[:-2] + (t + 2 * half, cin), dtype=x.data.dtype)
+    padded[..., half:half + t, :] = x.data
+    cols = np.concatenate([padded[..., k:k + t, :] for k in range(kernel)], axis=-1)
     out = cols @ w.data
     if b is not None:
         out = out + b.data
 
     def backward(g):
-        w._accumulate(cols.T @ g)
+        w._accumulate(cols.reshape(-1, kernel * cin).T @ g.reshape(-1, g.shape[-1]))
         if b is not None:
-            b._accumulate(g.sum(axis=0).reshape(b.shape))
+            b._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0).reshape(b.shape))
         dcols = g @ w.data.T
         dpad = np.zeros_like(padded)
         for k in range(kernel):
-            dpad[k:k + t] += dcols[:, k * cin:(k + 1) * cin]
-        x._accumulate(dpad[half:half + t])
+            dpad[..., k:k + t, :] += dcols[..., k * cin:(k + 1) * cin]
+        x._accumulate(dpad[..., half:half + t, :])
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out, parents, backward)

@@ -8,6 +8,11 @@ was created with ``requires_grad=True``.
 Only what the synthesis stack needs is implemented: 2-D matmul, elementwise
 arithmetic with scalar/row broadcasting, a handful of nonlinearities and
 reductions.  This is deliberately not a general array library.
+
+The row ops (``slice_rows``, ``repeat_rows``, ``avg_pool_rows``) and
+``concat_cols`` also take a leading batch axis (B x T x C), so B inputs of
+one length can share a pass; rows are axis -2 and columns axis -1.  Each
+batch slice gets exactly the arithmetic the 2-D op gives it.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ class NumericError(ArithmeticError):
 
 
 def _check_finite(arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("non-finite values in tensor")
     return arr
 
@@ -319,27 +324,36 @@ def tmean(a: Tensor) -> Tensor:
     return _node(data, (a,), backward)
 
 
+def _rows_operand(a: Tensor, op: str) -> None:
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"{op} expects a 2-D or 3-D (batch x rows x cols) tensor")
+
+
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
+    """Side-by-side columns; a 2-D operand is shared by every slice of a 3-D one."""
+    _rows_operand(a, "concat_cols")
+    _rows_operand(b, "concat_cols")
+    if a.shape[-2] != b.shape[-2] or (a.data.ndim == b.data.ndim == 3 and a.shape[0] != b.shape[0]):
         raise ShapeError(f"cannot column-concat shapes {a.shape} and {b.shape}")
-    na = a.shape[1]
-    data = np.concatenate([a.data, b.data], axis=1)
+    na = a.shape[-1]
+    lead = a.shape[:-1] if a.data.ndim >= b.data.ndim else b.shape[:-1]
+    parts = [np.broadcast_to(v.data, lead + v.shape[-1:]) for v in (a, b)]
+    data = np.concatenate(parts, axis=-1)
 
     def backward(g):
-        a._accumulate(g[:, :na])
-        b._accumulate(g[:, na:])
+        a._accumulate(_unbroadcast(g[..., :na], a.shape))
+        b._accumulate(_unbroadcast(g[..., na:], b.shape))
 
     return _node(data, (a, b), backward)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("slice_rows expects a 2-D tensor")
-    data = a.data[start:stop].copy()
+    _rows_operand(a, "slice_rows")
+    data = a.data[..., start:stop, :].copy()
 
     def backward(g):
         full = np.zeros_like(a.data)
-        full[start:stop] = g
+        full[..., start:stop, :] = g
         a._accumulate(full)
 
     return _node(data, (a,), backward)
@@ -360,19 +374,19 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 def repeat_rows(a: Tensor, counts: np.ndarray) -> Tensor:
     """Repeat row p of ``a`` counts[p] times; the length-regulator primitive."""
-    if a.data.ndim != 2:
-        raise ShapeError("repeat_rows expects a 2-D tensor")
+    _rows_operand(a, "repeat_rows")
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (a.shape[0],):
+    if counts.shape != (a.shape[-2],):
         raise ShapeError("one count per row required")
     if np.any(counts < 0) or counts.sum() == 0:
         raise ShapeError("counts must be nonnegative with positive total")
-    index = np.repeat(np.arange(a.shape[0]), counts)
-    data = a.data[index]
+    index = np.repeat(np.arange(a.shape[-2]), counts)
+    rows = (Ellipsis, index, slice(None))
+    data = a.data[rows]
 
     def backward(g):
         acc = np.zeros_like(a.data)
-        np.add.at(acc, index, g)
+        np.add.at(acc, rows, g)
         a._accumulate(acc)
 
     return _node(data, (a,), backward)
@@ -380,21 +394,19 @@ def repeat_rows(a: Tensor, counts: np.ndarray) -> Tensor:
 
 def avg_pool_rows(a: Tensor) -> Tensor:
     """Average consecutive row pairs; odd tails are padded by edge repetition."""
-    if a.data.ndim != 2:
-        raise ShapeError("avg_pool_rows expects a 2-D tensor")
-    t = a.shape[0]
-    out_t = (t + 1) // 2
-    padded = a.data if t % 2 == 0 else np.concatenate([a.data, a.data[-1:]], axis=0)
-    data = 0.5 * (padded[0::2] + padded[1::2])
+    _rows_operand(a, "avg_pool_rows")
+    t = a.shape[-2]
+    padded = a.data if t % 2 == 0 else np.concatenate([a.data, a.data[..., -1:, :]], axis=-2)
+    data = 0.5 * (padded[..., 0::2, :] + padded[..., 1::2, :])
 
     def backward(g):
         acc = np.zeros_like(a.data)
-        acc[0::2] += 0.5 * g
+        acc[..., 0::2, :] += 0.5 * g
         if t % 2 == 0:
-            acc[1::2] += 0.5 * g
+            acc[..., 1::2, :] += 0.5 * g
         else:
-            acc[1::2] += 0.5 * g[: t // 2]
-            acc[-1] += 0.5 * g[-1]
+            acc[..., 1::2, :] += 0.5 * g[..., : t // 2, :]
+            acc[..., -1, :] += 0.5 * g[..., -1, :]
         a._accumulate(acc)
 
     return _node(data, (a,), backward)

@@ -100,6 +100,14 @@ def test_mel_of_silence_is_floor():
     np.testing.assert_allclose(m.values, np.log(audio.LOG_FLOOR))
 
 
+@pytest.mark.parametrize("n_fft", [1023, 1024])
+@pytest.mark.parametrize("n", [4096, 4097])
+def test_stft_frame_count_odd_and_even_fft(n_fft, n):
+    cfg = audio.AnalysisConfig(n_fft=n_fft, win_length=n_fft)
+    mag = audio.stft_magnitude(np.random.default_rng(n).standard_normal(n), cfg)
+    assert mag.shape == (audio.frame_count(n, cfg.hop_length), n_fft // 2 + 1)
+
+
 def test_frame_count_one_second():
     w = audio.Waveform(sine(440, 1.0, 22050), 22050)
     m = audio.wav_to_mel(w, CFG)
@@ -263,3 +271,32 @@ def test_griffin_lim_error_monotone_in_iterations():
     e1 = griffin_lim_error(m, CFG, iterations=8, seed=1)
     e2 = griffin_lim_error(m, CFG, iterations=16, seed=1)
     assert e2 <= e1 + 1e-9
+
+
+def overlap_add_loop(frames, hop):
+    # the reference: one frame at a time, in frame order
+    n_frames, n = frames.shape
+    out = np.zeros((n_frames - 1) * hop + n)
+    for i in range(n_frames):
+        out[i * hop:i * hop + n] += frames[i]
+    return out
+
+
+@pytest.mark.parametrize("hop", [256, 300, 512, 1024])
+@pytest.mark.parametrize("n_frames", [1, 2, 9])
+def test_overlap_add_matches_per_frame_loop(hop, n_frames):
+    frames = np.random.default_rng(hop + n_frames).standard_normal((n_frames, 1024))
+    assert np.array_equal(audio._overlap_add(frames, hop), overlap_add_loop(frames, hop))
+
+
+@pytest.mark.parametrize("hop", [256, 300, 512, 1024])
+def test_istft_matches_per_frame_reference(hop):
+    cfg = audio.AnalysisConfig(hop_length=hop)
+    rng = np.random.default_rng(hop)
+    spec = rng.standard_normal((9, 513)) + 1j * rng.standard_normal((9, 513))
+    win = audio._window(cfg)
+    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1) * win[None, :]
+    norm = overlap_add_loop(np.tile(win * win, (9, 1)), hop)
+    want = (overlap_add_loop(frames, hop) / np.maximum(norm, 1e-10))[512:-512]
+    got = audio._istft(spec, cfg, win, audio._istft_norm(9, win, cfg))
+    assert np.array_equal(got, want)

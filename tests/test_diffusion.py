@@ -248,6 +248,49 @@ def test_cfg_affine_in_gamma(tiny_cfg):
     assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
+def two_pass_cfg_score(store, x, t, c_c, c_mel, gamma, cfg):
+    # the reference: one unbatched score_net pass per condition
+    with nc.no_grad():
+        eps_c = diffusion.score_net(store, x, t, c_c, cfg).data
+        eps_u = diffusion.score_net(store, x, t, c_mel, cfg).data
+    return diffusion.guided_score(diffusion.score_from_noise(eps_c, t, SCHED),
+                                  diffusion.score_from_noise(eps_u, t, SCHED), gamma)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("frames", [5, 6])
+def test_one_pass_cfg_matches_two_pass_reference(tiny_cfg, monkeypatch, dtype, frames):
+    store = nc.ParamStore(dtype=dtype)
+    diffusion.init_params(store, tiny_cfg, np.random.default_rng(0))
+    randomize_head(store)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((frames, tiny_cfg.audio.n_mels)).astype(dtype)
+    spk = rng.standard_normal(tiny_cfg.model.d_spk)
+    c_c = diffusion.ScoreCondition(rng.standard_normal((frames, tiny_cfg.audio.n_mels)), spk)
+    c_mel = diffusion.ScoreCondition(rng.standard_normal((frames, tiny_cfg.audio.n_mels)), spk)
+    want = two_pass_cfg_score(store, x, 0.5, c_c, c_mel, 1.0, tiny_cfg)
+
+    calls = []
+    score_net = diffusion.score_net
+    monkeypatch.setattr(diffusion, "score_net", lambda *a: calls.append(a) or score_net(*a))
+    got = diffusion.cfg_score(store, x, 0.5, c_c, c_mel, 1.0, SCHED, tiny_cfg)
+    assert len(calls) == 1
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_cfg_requires_one_speaker(tiny_cfg):
+    store = make_store(tiny_cfg)
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((4, tiny_cfg.audio.n_mels))
+    c_c = diffusion.ScoreCondition(rng.standard_normal((4, tiny_cfg.audio.n_mels)),
+                                   rng.standard_normal(tiny_cfg.model.d_spk))
+    c_mel = diffusion.ScoreCondition(rng.standard_normal((4, tiny_cfg.audio.n_mels)),
+                                     rng.standard_normal(tiny_cfg.model.d_spk))
+    with pytest.raises(ValueError, match="speaker"):
+        diffusion.cfg_score(store, x, 0.5, c_c, c_mel, 1.0, SCHED, tiny_cfg)
+
+
 # -- sampler --------------------------------------------------------------------------
 
 def test_reverse_sample_deterministic(tiny_cfg):
@@ -289,3 +332,28 @@ def test_single_step_matches_hand_update(tiny_cfg):
     h = 1.0 - SCHED.t_min
     expected = x1 - h * SCHED.beta(1.0) * 0.5 * (mu - x1)
     np.testing.assert_allclose(out, expected, rtol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reverse_sample_matches_two_pass_reference(tiny_cfg, dtype):
+    # the sampler with its hoisted speaker projections and one-pass guidance
+    # against the plain Euler loop over unbatched score_net calls
+    store = nc.ParamStore(dtype=dtype)
+    diffusion.init_params(store, tiny_cfg, np.random.default_rng(0))
+    randomize_head(store)
+    rng = np.random.default_rng(16)
+    mu = rng.standard_normal((7, tiny_cfg.audio.n_mels)).astype(dtype)
+    spk = rng.standard_normal(tiny_cfg.model.d_spk).astype(dtype)
+    c_mel = rng.standard_normal((7, tiny_cfg.audio.n_mels)).astype(dtype)
+    guide = diffusion.GuidanceConfig(gamma=1.0, steps=4, temperature=1.0)
+    got = diffusion.reverse_sample(store, mu, spk, guide, SCHED, tiny_cfg, seed=6, cond_mel=c_mel)
+
+    x = mu + np.random.default_rng(6).standard_normal(mu.shape).astype(dtype)
+    h = (1.0 - SCHED.t_min) / guide.steps
+    for k in range(guide.steps):
+        t = 1.0 - k * h
+        s = two_pass_cfg_score(store, x, t, diffusion.ScoreCondition(mu, spk),
+                               diffusion.ScoreCondition(c_mel, spk), guide.gamma, tiny_cfg)
+        drift = (0.5 * (mu - x) - s) * SCHED.beta(t)
+        x = (x - h * drift).astype(dtype)
+    assert np.array_equal(got, x)

@@ -168,6 +168,18 @@ def test_durations_to_frames_rules():
     np.testing.assert_array_equal(durpred.durations_to_frames(np.array([-5.0])).frames, [1])
 
 
+@pytest.mark.parametrize("log_d", [[30.0], [800.0], [0.0, 12.0, 1.0]])
+def test_durations_over_the_frame_limit_are_refused(log_d):
+    bad = int(np.argmax(log_d))
+    with pytest.raises(durpred.DurationLimitError, match=f"token {bad} .*frame total"):
+        durpred.durations_to_frames(np.array(log_d))
+
+
+def test_durations_up_to_the_frame_limit_pass():
+    log_d = np.log(np.array([durpred.MAX_FRAMES - 1, 1.0]))
+    assert durpred.durations_to_frames(log_d).total() == durpred.MAX_FRAMES
+
+
 def test_duration_loss_values():
     mask = np.array([True, True])
     pred = nc.Tensor(np.log(np.array([[1.0], [2.0]])))

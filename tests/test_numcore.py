@@ -209,6 +209,71 @@ def test_concat_and_slice_grads():
     assert err < 1e-6
 
 
+# -- batch axis ------------------------------------------------------------------
+
+BATCHED_OPS = {
+    "conv1d": lambda x, p: nc.conv1d(x, p["w"], p["b"], kernel=3),
+    "layer_norm": lambda x, p: nc.layer_norm(x, p["gain"], p["bias"]),
+    "avg_pool_rows": lambda x, p: nc.avg_pool_rows(x),
+    "repeat_rows": lambda x, p: nc.repeat_rows(x, np.arange(x.shape[-2]) % 3),
+    "slice_rows": lambda x, p: nc.slice_rows(x, 1, x.shape[-2] - 1),
+    "concat_cols": lambda x, p: nc.concat_cols(x, p["side"]),
+    "concat_cols_shared": lambda x, p: nc.concat_cols(p["shared"], x),
+}
+
+
+def batch_case(rows, dtype, batch=3, cols=4, seed=0):
+    rng = np.random.default_rng(seed)
+
+    def make(*shape):
+        return nc.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+    x = make(batch, rows, cols)
+    params = {"w": make(3 * cols, 5), "b": make(5), "gain": make(cols), "bias": make(cols),
+              "side": make(batch, rows, 2), "shared": make(rows, 2)}
+    return x, params
+
+
+def per_slice(params, i):
+    # the arguments of the unbatched call that batch slice i must equal
+    return {k: nc.Tensor(v.data[i]) if k == "side" else v for k, v in params.items()}
+
+
+@pytest.mark.parametrize("op", sorted(BATCHED_OPS))
+@pytest.mark.parametrize("rows", [5, 6])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_op_equals_per_slice_2d(op, rows, dtype):
+    x, params = batch_case(rows, dtype)
+    f = BATCHED_OPS[op]
+    out = f(x, params)
+    assert out.shape[0] == x.shape[0]
+    for i in range(x.shape[0]):
+        assert np.array_equal(out.data[i], f(nc.Tensor(x.data[i]), per_slice(params, i)).data)
+
+
+@pytest.mark.parametrize("op", sorted(BATCHED_OPS))
+@pytest.mark.parametrize("rows", [5, 6])
+def test_batched_op_gradients_vs_finite_differences(op, rows):
+    x, params = batch_case(rows, np.float64, batch=2, cols=3)
+    f = BATCHED_OPS[op]
+    weight = nc.Tensor(np.random.default_rng(1).standard_normal(f(x, params).shape))
+    err = nc.grad_check(lambda: (f(x, params).tanh() * weight).sum(), [x, *params.values()])
+    assert err < 1e-6
+
+
+def test_batched_ops_reject_other_ranks():
+    flat = t(np.zeros(4))
+    deep = t(np.zeros((2, 2, 4, 3)))
+    with pytest.raises(nc.ShapeError):
+        nc.avg_pool_rows(flat)
+    with pytest.raises(nc.ShapeError):
+        nc.slice_rows(deep, 0, 1)
+    with pytest.raises(nc.ShapeError):
+        nc.conv1d(deep, t(np.zeros((9, 2))))
+    with pytest.raises(nc.ShapeError):
+        nc.concat_cols(t(np.zeros((2, 4, 3))), t(np.zeros((3, 4, 3))))
+
+
 def test_embedding_grad():
     rng = np.random.default_rng(6)
     table = t(rng.standard_normal((5, 3)))
