@@ -318,8 +318,11 @@ def save_mel_stats(path, stats: MelStats) -> None:
 
 
 def load_mel_stats(path) -> MelStats:
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as exc:
+        raise AudioFormatError(f"cannot read {path}: {exc}") from exc
     if blob[:8] != MELSTATS_MAGIC:
         raise AudioFormatError(f"{path}: not a MELSTATS file")
     if len(blob) < 56:

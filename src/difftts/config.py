@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -119,9 +118,6 @@ class Config:
         lines.append(f"token_mode={self.token_mode}")
         return lines
 
-    def fingerprint(self) -> bytes:
-        return hashlib.sha256("\n".join(sorted(self.to_lines())).encode("utf-8")).digest()
-
 
 _SECTIONS = {
     "audio": AnalysisConfig,
@@ -132,16 +128,17 @@ _SECTIONS = {
 }
 
 
-def _parse_value(raw: str, kind: type) -> Any:
+def _parse_value(key: str, raw: str, kind: type) -> Any:
     raw = raw.strip()
+    if kind not in (int, float):
+        return raw
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        value = kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {raw!r} as {kind.__name__}") from exc
-    return raw
+        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: non-finite value {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> Config:
@@ -169,7 +166,7 @@ def parse_config(text: str) -> Config:
         if name not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         kind = {f.name: type(getattr(cls(), f.name)) for f in fields(cls)}[name]
-        by_section[section][name] = _parse_value(raw, kind)
+        by_section[section][name] = _parse_value(key, raw, kind)
     try:
         return Config(
             audio=AnalysisConfig(**by_section["audio"]),
@@ -184,6 +181,10 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path) -> Config:
-    with open(path, encoding="utf-8") as f:
-        return parse_config(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config(text)
 

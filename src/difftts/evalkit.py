@@ -183,34 +183,36 @@ def read_manifest(path) -> list[UtteranceRecord]:
     """Parse the TSV manifest (header: id dataset language reference hypothesis sim_o)."""
     records: list[UtteranceRecord] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if tuple(header.split("\t")) != MANIFEST_COLUMNS:
-            raise ManifestError("line 1: header must be " + "\t".join(MANIFEST_COLUMNS))
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(MANIFEST_COLUMNS):
-                raise ManifestError(f"line {lineno}: expected {len(MANIFEST_COLUMNS)} columns, got {len(parts)}")
-            uid, dataset, language, reference, hypothesis, sim_text = parts
-            if uid in seen_ids:
-                raise ManifestError(f"line {lineno}: duplicate id {uid!r}")
-            seen_ids.add(uid)
-            sim_val: float | None = None
-            if sim_text:
-                try:
-                    sim_val = float(sim_text)
-                except ValueError as exc:
-                    raise ManifestError(f"line {lineno}: bad sim_o value {sim_text!r}") from exc
-                if not math.isfinite(sim_val):
-                    raise ManifestError(f"line {lineno}: non-finite sim_o value {sim_text!r}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            header, *lines = f.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    if tuple(header.split("\t")) != MANIFEST_COLUMNS:
+        raise ManifestError("line 1: header must be " + "\t".join(MANIFEST_COLUMNS))
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != len(MANIFEST_COLUMNS):
+            raise ManifestError(f"line {lineno}: expected {len(MANIFEST_COLUMNS)} columns, got {len(parts)}")
+        uid, dataset, language, reference, hypothesis, sim_text = parts
+        if uid in seen_ids:
+            raise ManifestError(f"line {lineno}: duplicate id {uid!r}")
+        seen_ids.add(uid)
+        sim_val: float | None = None
+        if sim_text:
             try:
-                records.append(UtteranceRecord(uid, dataset, language, reference,
-                                               hypothesis or None, sim_val))
+                sim_val = float(sim_text)
             except ValueError as exc:
-                raise ManifestError(f"line {lineno}: {exc}") from exc
+                raise ManifestError(f"line {lineno}: bad sim_o value {sim_text!r}") from exc
+            if not math.isfinite(sim_val):
+                raise ManifestError(f"line {lineno}: non-finite sim_o value {sim_text!r}")
+        try:
+            records.append(UtteranceRecord(uid, dataset, language, reference,
+                                           hypothesis or None, sim_val))
+        except ValueError as exc:
+            raise ManifestError(f"line {lineno}: {exc}") from exc
     if not records:
         raise ManifestError("manifest has no data rows")
     return records

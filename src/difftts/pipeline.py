@@ -15,7 +15,7 @@ from . import aligner, checkpoint, diffusion, durpred, encoder, speaker
 from . import numcore as nc
 from .audio import (LOG_FLOOR, ConfigMismatchError, MelSpectrogram, MelStats, Waveform,
                     broadcast_mean, griffin_lim, wav_to_mel)
-from .config import Config
+from .config import Config, parse_config
 from .corpus import Utterance, require_reference_material, speaker_pools
 from .durpred import DurationVector
 from .textfront import PhonemeSequence, Vocabulary, encode_text
@@ -48,7 +48,6 @@ class Trainer:
     opt: nc.Adam
     step: int = 0
     epoch: int = 0
-    seed: int = 0
 
 
 def new_trainer(cfg: Config, vocab: Vocabulary,
@@ -61,7 +60,7 @@ def new_trainer(cfg: Config, vocab: Vocabulary,
         tokens = sum(len(model.encode_text(u.text)) for u in utterances)
         model.store["dur.head.b"].tensor.data[:] = np.log(max(frames / tokens, 1.0))
     opt = nc.Adam(model.store, lr=cfg.train.learning_rate)
-    return Trainer(model, opt, seed=cfg.train.seed)
+    return Trainer(model, opt)
 
 
 def _utterance_losses(model: TTSModel, utt: Utterance, seq: PhonemeSequence,
@@ -100,12 +99,12 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
     last_epoch = trainer.epoch + n_epochs
     for _ in range(n_epochs):
         trainer.epoch += 1
-        order = np.random.default_rng([trainer.seed, _ORDER, trainer.epoch]).permutation(n)
+        order = np.random.default_rng([cfg.train.seed, _ORDER, trainer.epoch]).permutation(n)
         sums = np.zeros(3)
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             trainer.step += 1
-            rng = np.random.default_rng([trainer.seed, _STEP, trainer.step])
+            rng = np.random.default_rng([cfg.train.seed, _STEP, trainer.step])
             total = None
             for idx in batch:
                 l_enc, l_dur, l_diff = _utterance_losses(
@@ -128,27 +127,6 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
 # -- persistence ---------------------------------------------------------------
 
 
-def _vocab_tensors(vocab: Vocabulary) -> dict[str, np.ndarray]:
-    symbols = vocab.symbols_in_id_order()
-    flat = "".join(symbols)
-    lengths = np.array([len(s) for s in symbols], dtype=np.float32)
-    return {
-        "vocab.symbols": checkpoint.string_to_tensor(flat),
-        "vocab.lengths": lengths,
-    }
-
-
-def _vocab_from_tensors(tensors: dict[str, np.ndarray]) -> Vocabulary:
-    flat = checkpoint.tensor_to_string(tensors["vocab.symbols"])
-    lengths = [int(v) for v in np.asarray(tensors["vocab.lengths"]).reshape(-1)]
-    mapping = {}
-    pos = 0
-    for i, ln in enumerate(lengths):
-        mapping[flat[pos:pos + ln]] = i + 2
-        pos += ln
-    return Vocabulary(mapping)
-
-
 def save_trainer(path, trainer: Trainer, stats_path: str = "") -> None:
     model = trainer.model
     tensors: dict[str, np.ndarray] = {}
@@ -157,47 +135,50 @@ def save_trainer(path, trainer: Trainer, stats_path: str = "") -> None:
     for name in model.store.names():
         tensors[f"adam.m.{name}"] = trainer.opt.m[name]
         tensors[f"adam.v.{name}"] = trainer.opt.v[name]
-    tensors["trainer.step"] = np.array([trainer.step], dtype=np.float32)
-    tensors["trainer.epoch"] = np.array([trainer.epoch], dtype=np.float32)
-    tensors["trainer.seed"] = np.array([trainer.seed], dtype=np.float32)
-    tensors.update(_vocab_tensors(model.vocab))
-    tensors["melstats.path"] = checkpoint.string_to_tensor(str(stats_path))
-    tensors["config.text"] = checkpoint.string_to_tensor(
-        "\n".join(model.cfg.to_lines()))
-    checkpoint.save_checkpoint(path, model.cfg.fingerprint(), tensors)
+    metadata = {"config": model.cfg.to_lines(), "vocab": model.vocab.symbols_in_id_order(),
+                "melstats": str(stats_path), "step": trainer.step, "epoch": trainer.epoch}
+    checkpoint.save_checkpoint(path, metadata, tensors)
 
 
 def load_trainer(path, cfg: Config | None = None) -> tuple[Trainer, str]:
-    """Rebuild a trainer from a checkpoint; returns it plus the stats path."""
-    from .config import parse_config
+    """Rebuild a trainer from a checkpoint; returns it plus the stats path.
 
-    config_hash, tensors = checkpoint.load_checkpoint(path)
-    stored_cfg = parse_config(checkpoint.tensor_to_string(tensors["config.text"]))
+    A requested ``cfg`` must equal the stored config, whose keys missing from
+    the file take their defaults.
+    """
+    meta, tensors = checkpoint.load_checkpoint(path)
+    try:
+        stored_cfg = parse_config("\n".join(meta["config"]))
+        vocab = Vocabulary({s: i + 2 for i, s in enumerate(meta["vocab"])})
+        step, epoch, stats_path = meta["step"], meta["epoch"], meta["melstats"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise checkpoint.CheckpointError(f"{path}: bad checkpoint metadata: {exc!r}") from exc
+    if not all(type(v) is int and v >= 0 for v in (step, epoch)) or type(stats_path) is not str:
+        raise checkpoint.CheckpointError(f"{path}: bad checkpoint counters or stats path")
     if cfg is None:
         cfg = stored_cfg
-    if cfg.fingerprint() != config_hash:
+    elif cfg != stored_cfg:
+        diffs = [f"{have} (requested {want})"
+                 for have, want in zip(stored_cfg.to_lines(), cfg.to_lines()) if have != want]
         raise checkpoint.CheckpointError(
-            f"{path}: config fingerprint mismatch; the checkpoint was written "
-            "with different settings")
-    vocab = _vocab_from_tensors(tensors)
-    seed = int(tensors["trainer.seed"][0])
-    model = TTSModel(cfg, vocab, seed=seed)
-    for name, p in model.store.items():
-        key = f"param.{name}"
+            f"{path}: the checkpoint was written with different settings: " + ", ".join(diffs))
+    model = TTSModel(cfg, vocab, seed=cfg.train.seed)
+    opt = nc.Adam(model.store, lr=cfg.train.learning_rate)
+
+    def record(key: str, shape: tuple[int, ...]) -> np.ndarray:
         if key not in tensors:
             raise checkpoint.CheckpointError(f"{path}: missing tensor {key}")
-        if tensors[key].shape != p.value.shape:
-            raise checkpoint.CheckpointError(f"{path}: shape mismatch for {key}")
-        p.tensor.data = tensors[key].astype(model.store.dtype)
-    opt = nc.Adam(model.store, lr=cfg.train.learning_rate)
-    for name in model.store.names():
-        opt.m[name] = tensors[f"adam.m.{name}"].astype(model.store.dtype)
-        opt.v[name] = tensors[f"adam.v.{name}"].astype(model.store.dtype)
-    trainer = Trainer(model, opt, step=int(tensors["trainer.step"][0]),
-                      epoch=int(tensors["trainer.epoch"][0]), seed=seed)
-    trainer.opt.t = trainer.step
-    stats_path = checkpoint.tensor_to_string(tensors["melstats.path"])
-    return trainer, stats_path
+        if tensors[key].shape != shape:
+            raise checkpoint.CheckpointError(
+                f"{path}: {key} has shape {tensors[key].shape}, expected {shape}")
+        return tensors[key].astype(model.store.dtype, copy=False)
+
+    for name, p in model.store.items():
+        p.tensor.data = record(f"param.{name}", p.value.shape)
+        opt.m[name] = record(f"adam.m.{name}", p.value.shape)
+        opt.v[name] = record(f"adam.v.{name}", p.value.shape)
+    opt.t = step
+    return Trainer(model, opt, step=step, epoch=epoch), stats_path
 
 
 # -- synthesis -------------------------------------------------------------------

@@ -71,15 +71,18 @@ def save_embedding(path, emb: SpeakerEmbedding) -> None:
 
 def load_external_embedding(path) -> SpeakerEmbedding:
     """Read a stored vector and renormalize it."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != SPKEMB_MAGIC:
-        raise EmbeddingFormatError(f"{path}: not a speaker embedding file")
     try:
-        (dim,) = struct.unpack_from("<I", blob, 8)
-        values = np.frombuffer(blob, dtype="<f4", count=dim, offset=12).astype(np.float64)
-    except (struct.error, ValueError) as exc:
-        raise EmbeddingFormatError(f"{path}: truncated file") from exc
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as exc:
+        raise EmbeddingFormatError(f"cannot read {path}: {exc}") from exc
+    if blob[:8] != SPKEMB_MAGIC or len(blob) < 12:
+        raise EmbeddingFormatError(f"{path}: not a speaker embedding file")
+    (dim,) = struct.unpack_from("<I", blob, 8)
+    if len(blob) != 12 + 4 * dim:
+        raise EmbeddingFormatError(f"{path}: SPKEMB with {dim} values must be "
+                                   f"{12 + 4 * dim} bytes, got {len(blob)}")
+    values = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise EmbeddingFormatError(f"{path}: non-finite values")
     norm = np.linalg.norm(values)

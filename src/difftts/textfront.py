@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -91,17 +91,4 @@ def encode_text(text: str, vocab: Vocabulary, mode: str = "characters") -> Phone
     tokens = _split(normalized, mode)
     ids = np.array([vocab.id_of(t) for t in tokens], dtype=np.int64)
     return PhonemeSequence(ids, np.ones(ids.size, dtype=bool))
-
-
-def pad_batch(seqs: Sequence[PhonemeSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad to the longest sequence with PAD_ID; masks mark real slots."""
-    if not seqs:
-        raise ValueError("need at least one sequence")
-    width = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
-    masks = np.zeros((len(seqs), width), dtype=bool)
-    for r, s in enumerate(seqs):
-        ids[r, :len(s)] = s.ids
-        masks[r, :len(s)] = s.mask
-    return ids, masks
 

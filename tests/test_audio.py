@@ -237,6 +237,11 @@ def test_mel_stats_rejects_wrong_length(tmp_path, size):
         audio.load_mel_stats(p)
 
 
+def test_mel_stats_unreadable_file_names_the_file(tmp_path):
+    with pytest.raises(audio.AudioFormatError, match="absent.bin"):
+        audio.load_mel_stats(tmp_path / "absent.bin")
+
+
 # -- griffin-lim ---------------------------------------------------------------
 
 def test_griffin_lim_recovers_tone():

@@ -1,7 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftts import checkpoint as ck
+
+META = {"config": ["train.seed=2147483647"], "vocab": ["a", "ह"], "melstats": "stats.bin",
+        "step": 2**53 + 1, "epoch": 3}
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -11,11 +18,10 @@ def test_round_trip_bit_exact(tmp_path):
         "b": rng.standard_normal(7).astype(np.float32),
         "scalar": np.array([3.0], dtype=np.float32),
     }
-    h = bytes(range(32))
     p = tmp_path / "model.ckpt"
-    ck.save_checkpoint(p, h, tensors)
-    h2, back = ck.load_checkpoint(p)
-    assert h2 == h
+    ck.save_checkpoint(p, META, tensors)
+    meta, back = ck.load_checkpoint(p)
+    assert meta == META
     assert set(back) == set(tensors)
     for name in tensors:
         assert back[name].dtype == np.float32
@@ -25,16 +31,10 @@ def test_round_trip_bit_exact(tmp_path):
 
 def test_save_is_deterministic(tmp_path):
     tensors = {"a": np.ones((2, 2), dtype=np.float32)}
-    h = bytes(32)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    ck.save_checkpoint(p1, h, tensors)
-    ck.save_checkpoint(p2, h, tensors)
+    ck.save_checkpoint(p1, META, tensors)
+    ck.save_checkpoint(p2, dict(reversed(META.items())), tensors)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_string_tensor_round_trip():
-    text = "vocab with unicode: हिन्दी"
-    assert ck.tensor_to_string(ck.string_to_tensor(text)) == text
 
 
 def test_rejects_garbage(tmp_path):
@@ -44,9 +44,14 @@ def test_rejects_garbage(tmp_path):
         ck.load_checkpoint(p)
 
 
+def test_rejects_missing_file(tmp_path):
+    with pytest.raises(ck.CheckpointError, match="absent.ckpt"):
+        ck.load_checkpoint(tmp_path / "absent.ckpt")
+
+
 def test_rejects_truncated(tmp_path):
     p = tmp_path / "t.ckpt"
-    ck.save_checkpoint(p, bytes(32), {"w": np.ones(10, dtype=np.float32)})
+    ck.save_checkpoint(p, META, {"w": np.ones(10, dtype=np.float32)})
     blob = p.read_bytes()
     p.write_bytes(blob[:-8])
     with pytest.raises(ck.CheckpointError):
@@ -55,24 +60,79 @@ def test_rejects_truncated(tmp_path):
 
 def test_rejects_trailing_bytes(tmp_path):
     p = tmp_path / "t.ckpt"
-    ck.save_checkpoint(p, bytes(32), {"w": np.ones(10, dtype=np.float32)})
+    ck.save_checkpoint(p, META, {"w": np.ones(10, dtype=np.float32)})
     p.write_bytes(p.read_bytes() + bytes(9))
-    with pytest.raises(ck.CheckpointError, match="trailing"):
+    with pytest.raises(ck.CheckpointError, match="checksum"):
         ck.load_checkpoint(p)
+
+
+def test_rejects_version_1_file(tmp_path):
+    # the v1 layout: magic, version 1, 32-byte config hash, one tensor
+    p = tmp_path / "v1.ckpt"
+    p.write_bytes(ck.MAGIC + struct.pack("<I", 1) + bytes(32) + struct.pack("<I", 1)
+                  + struct.pack("<I", 1) + b"w" + struct.pack("<IQ", 1, 1)
+                  + np.float32(1).tobytes())
+    with pytest.raises(ck.CheckpointError, match="version 1"):
+        ck.load_checkpoint(p)
+
+
+def test_rejects_non_object_metadata(tmp_path):
+    p = tmp_path / "list.ckpt"
+    ck.save_checkpoint(p, ["config"], {})
+    with pytest.raises(ck.CheckpointError, match="JSON object"):
+        ck.load_checkpoint(p)
+
+
+@pytest.fixture(scope="module")
+def small_blob(tmp_path_factory):
+    p = tmp_path_factory.mktemp("ckpt") / "small.ckpt"
+    ck.save_checkpoint(p, META, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                 "b": np.array([-1.5], dtype=np.float32)})
+    return p.read_bytes()
+
+
+def _load_bytes(path, blob):
+    path.write_bytes(blob)
+    return ck.load_checkpoint(path)
+
+
+def test_every_truncation_is_rejected(small_blob, tmp_path):
+    p = tmp_path / "cut.ckpt"
+    for n in range(len(small_blob)):
+        with pytest.raises(ck.CheckpointError):
+            _load_bytes(p, small_blob[:n])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_single_byte_change_is_rejected(small_blob, tmp_path_factory, data):
+    pos = data.draw(st.integers(0, len(small_blob) - 1), label="pos")
+    flip = data.draw(st.integers(1, 255), label="xor")
+    blob = bytearray(small_blob)
+    blob[pos] ^= flip
+    p = tmp_path_factory.getbasetemp() / "flipped.ckpt"
+    with pytest.raises(ck.CheckpointError):
+        _load_bytes(p, bytes(blob))
 
 
 def test_failed_write_keeps_previous_checkpoint(tmp_path):
     p = tmp_path / "m.ckpt"
-    ck.save_checkpoint(p, bytes(32), {"w": np.ones(10, dtype=np.float32)})
+    tmp = tmp_path / "m.ckpt.tmp"
+    ck.save_checkpoint(p, META, {"w": np.ones(10, dtype=np.float32)})
     before = p.read_bytes()
+    written_at_failure = []
 
     class Unwritable:
         def __array__(self, dtype=None, copy=None):
+            written_at_failure.append(tmp.stat().st_size)
             raise OSError("disk full")
 
-    # the first tensor is written before the second one fails
+    # the first tensor is larger than any write buffer, so the temporary file
+    # already holds bytes when the second one fails
+    big = np.zeros(1 << 16, dtype=np.float32)
     with pytest.raises(OSError, match="disk full"):
-        ck.save_checkpoint(p, bytes(32), {"w": np.zeros(10, dtype=np.float32), "x": Unwritable()})
+        ck.save_checkpoint(p, META, {"w": big, "x": Unwritable()})
+    assert written_at_failure and written_at_failure[0] > 0
     assert p.read_bytes() == before
     _, back = ck.load_checkpoint(p)
     assert np.array_equal(back["w"], np.ones(10, dtype=np.float32))

@@ -5,7 +5,7 @@ from difftts import checkpoint, cli, pipeline, toydata
 from difftts.audio import (AnalysisConfig, ConfigMismatchError, MelStats, load_mel_stats, load_wav,
                            save_mel_stats)
 from difftts.checkpoint import CheckpointError, load_checkpoint
-from difftts.config import parse_config
+from difftts.config import Config, GuidanceConfig, parse_config
 from difftts.corpus import load_corpus
 from difftts.textfront import build_vocab
 
@@ -65,14 +65,16 @@ def test_stats_names_corrupt_file(tmp_path, cfg_file, capsys):
 # -- train ----------------------------------------------------------------------
 
 def test_train_deterministic_loss_log(corpus_dir, cfg_file, tmp_path):
-    logs = []
+    logs, checkpoints = [], []
     for name in ("a", "b"):
         ck = tmp_path / f"{name}.ckpt"
         log = tmp_path / f"{name}.csv"
         assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_file,
                        "--out", ck, "--log", log) == 0
         logs.append(log.read_bytes())
+        checkpoints.append(ck.read_bytes())
     assert logs[0] == logs[1]
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_train_missing_transcript_fails(tmp_path, cfg_file, capsys):
@@ -168,9 +170,83 @@ def test_checkpoint_config_mismatch_rejected(corpus_dir, cfg_file, tmp_path):
     trainer = pipeline.new_trainer(cfg, build_vocab([u.text for u in utts]), utts)
     ck = tmp_path / "m.ckpt"
     pipeline.save_trainer(ck, trainer, "")
-    other = parse_config(TINY_CFG_TEXT + "train.seed=99\n")
-    with pytest.raises(CheckpointError, match="fingerprint"):
+    other = parse_config(TINY_CFG_TEXT + "train.seed=99\nguidance.steps=7\n")
+    with pytest.raises(CheckpointError) as info:
         pipeline.load_trainer(ck, other)
+    message = str(info.value)
+    assert "train.seed=3 (requested train.seed=99)" in message
+    assert "guidance.steps=50 (requested guidance.steps=7)" in message
+    assert "train.epochs" not in message
+
+
+def tiny_trainer(corpus_dir, cfg_text=TINY_CFG_TEXT):
+    cfg = parse_config(cfg_text)
+    utts = load_corpus(corpus_dir, cfg)
+    return pipeline.new_trainer(cfg, build_vocab([u.text for u in utts]), utts), utts
+
+
+@pytest.mark.parametrize("seed", [123456789, 2**31 - 1])
+def test_resume_is_exact_for_large_seeds(corpus_dir, tmp_path, seed):
+    text = TINY_CFG_TEXT + f"train.seed={seed}\n"
+    solo, utts = tiny_trainer(corpus_dir, text)
+    solo_lines = pipeline.train_epochs(solo, utts, 2)
+    split, _ = tiny_trainer(corpus_dir, text)
+    split_lines = pipeline.train_epochs(split, utts, 1)
+    ck = tmp_path / "half.ckpt"
+    pipeline.save_trainer(ck, split, "")
+    resumed, _ = pipeline.load_trainer(ck)
+    assert resumed.model.cfg.train.seed == seed
+    split_lines += pipeline.train_epochs(resumed, utts, 1)
+    assert solo_lines == split_lines
+    for name, p in solo.model.store.items():
+        assert p.value.tobytes() == resumed.model.store[name].value.tobytes(), name
+
+
+def test_step_counter_past_float32_precision_survives(corpus_dir, tmp_path):
+    trainer, _ = tiny_trainer(corpus_dir)
+    trainer.step, trainer.epoch = 2**24 + 1, 2**24 + 3
+    ck = tmp_path / "m.ckpt"
+    pipeline.save_trainer(ck, trainer, "")
+    loaded, _ = pipeline.load_trainer(ck)
+    assert (loaded.step, loaded.epoch, loaded.opt.t) == (2**24 + 1, 2**24 + 3, 2**24 + 1)
+
+
+def test_checkpoint_without_a_defaulted_key_loads(corpus_dir, tmp_path, monkeypatch):
+    # stands in for a checkpoint written before guidance.temperature existed
+    trainer, _ = tiny_trainer(corpus_dir)
+    cfg = trainer.model.cfg
+    assert cfg.guidance.temperature == GuidanceConfig().temperature
+    full = Config.to_lines
+    monkeypatch.setattr(Config, "to_lines", lambda self: [
+        line for line in full(self) if not line.startswith("guidance.temperature=")])
+    ck = tmp_path / "old.ckpt"
+    pipeline.save_trainer(ck, trainer, "")
+    monkeypatch.undo()
+    for requested in (cfg, None):
+        loaded, _ = pipeline.load_trainer(ck, requested)
+        assert loaded.model.cfg == cfg
+    assert "guidance.temperature" not in str(load_checkpoint(ck)[0]["config"])
+
+
+def test_missing_adam_moment_is_named(corpus_dir, tmp_path, monkeypatch):
+    trainer, _ = tiny_trainer(corpus_dir)
+    real = checkpoint.save_checkpoint
+    monkeypatch.setattr(checkpoint, "save_checkpoint", lambda path, meta, tensors: real(
+        path, meta, {k: v for k, v in tensors.items() if k != "adam.v.dur.head.b"}))
+    ck = tmp_path / "m.ckpt"
+    pipeline.save_trainer(ck, trainer, "")
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="missing tensor adam.v.dur.head.b"):
+        pipeline.load_trainer(ck)
+
+
+def test_wrong_record_shape_is_named(corpus_dir, tmp_path):
+    trainer, _ = tiny_trainer(corpus_dir)
+    trainer.opt.m["dur.head.b"] = np.zeros(3)
+    ck = tmp_path / "m.ckpt"
+    pipeline.save_trainer(ck, trainer, "")
+    with pytest.raises(CheckpointError, match=r"adam.m.dur.head.b has shape \(3,\)"):
+        pipeline.load_trainer(ck)
 
 
 # -- synth ------------------------------------------------------------------------

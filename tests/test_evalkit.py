@@ -235,3 +235,13 @@ def test_read_manifest_rejects_non_finite_sim_o(tmp_path, value):
                  f"u2\td\tl\tr\t\t{value}\n", encoding="utf-8")
     with pytest.raises(ek.ManifestError, match="line 3"):
         ek.read_manifest(p)
+
+
+def test_read_manifest_unreadable_file_names_the_file(tmp_path):
+    with pytest.raises(ek.ManifestError, match="absent.tsv"):
+        ek.read_manifest(tmp_path / "absent.tsv")
+    p = tmp_path / "latin1.tsv"
+    p.write_bytes(("id\tdataset\tlanguage\treference\thypothesis\tsim_o\n"
+                   "u1\td\tl\tcaf\xe9\t\t\n").encode("latin-1"))
+    with pytest.raises(ek.ManifestError, match="latin1.tsv"):
+        ek.read_manifest(p)

@@ -86,6 +86,19 @@ def test_garbage_file_rejected(tmp_path):
         speaker.load_external_embedding(p)
 
 
+@pytest.mark.parametrize("extra", [b"\0", bytes(4), bytes(9)])
+def test_trailing_bytes_rejected(tmp_path, extra):
+    p = raw_file(tmp_path / "long.bin", [3.0, 4.0])
+    p.write_bytes(p.read_bytes() + extra)
+    with pytest.raises(speaker.EmbeddingFormatError, match="must be 20 bytes"):
+        speaker.load_external_embedding(p)
+
+
+def test_unreadable_file_names_the_file(tmp_path):
+    with pytest.raises(speaker.EmbeddingFormatError, match="absent.bin"):
+        speaker.load_external_embedding(tmp_path / "absent.bin")
+
+
 def test_sim_o_basics():
     v = unit(np.array([1.0, 2.0, 2.0]))
     neg = speaker.SpeakerEmbedding(-v.vector)

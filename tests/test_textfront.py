@@ -59,29 +59,6 @@ def test_encode_decode_round_trip():
         assert "".join(symbols[i] for i in seq.ids) == text
 
 
-def test_pad_batch():
-    vocab = tf.Vocabulary({"a": 2, "b": 3})
-    seqs = [tf.encode_text("ab", vocab), tf.encode_text("aba", vocab)]
-    ids, masks = tf.pad_batch(seqs)
-    assert ids.shape == (2, 3)
-    np.testing.assert_array_equal(ids[0], [2, 3, tf.PAD_ID])
-    np.testing.assert_array_equal(masks[0], [True, True, False])
-
-
-def test_pad_batch_single_identity():
-    vocab = tf.Vocabulary({"a": 2})
-    seq = tf.encode_text("aa", vocab)
-    ids, masks = tf.pad_batch([seq])
-    np.testing.assert_array_equal(ids[0], seq.ids)
-    assert masks.all()
-
-
-def test_pad_batch_equal_lengths_no_padding():
-    vocab = tf.Vocabulary({"a": 2, "b": 3})
-    ids, masks = tf.pad_batch([tf.encode_text("ab", vocab), tf.encode_text("ba", vocab)])
-    assert masks.all()
-
-
 def test_sequence_invariants():
     with pytest.raises(ValueError):
         tf.PhonemeSequence(np.array([tf.PAD_ID]), np.array([True]))
