@@ -335,7 +335,11 @@ def load_mel_stats(path) -> MelStats:
                                f"{56 + 4 * n_mels} bytes, got {len(blob)}")
     (frame_count_,) = struct.unpack_from("<Q", blob, 16)
     fingerprint = blob[24:56]
+    if frame_count_ == 0:
+        raise AudioFormatError(f"{path}: MELSTATS over zero frames")
     values = np.frombuffer(blob, dtype="<f4", count=n_mels, offset=56)
+    if not np.all(np.isfinite(values)):
+        raise AudioFormatError(f"{path}: non-finite MELSTATS mean values")
     return MelStats(values.astype(np.float64), frame_count_, fingerprint)
 
 

@@ -53,16 +53,20 @@ def cmd_train(args) -> int:
         trainer, _ = pipeline.load_trainer(args.resume, cfg)
     else:
         vocab = build_vocab([u.text for u in utterances], cfg.token_mode)
-        trainer = pipeline.new_trainer(cfg, vocab)
+        trainer = pipeline.new_trainer(cfg, vocab, utterances)
     epochs = args.epochs if args.epochs is not None else cfg.train.epochs
     log_path = Path(args.log) if args.log else Path(args.out).with_suffix(".losses.csv")
-    # train_epochs writes the checkpoint after the last epoch
-    lines = pipeline.train_epochs(trainer, utterances, epochs,
-                                  checkpoint_path=args.out, stats_path=str(stats_path))
-    mode = "a" if args.resume else "w"
-    with open(log_path, mode, encoding="utf-8") as f:
-        for line in lines:
-            f.write(line + "\n")
+    if not args.resume:
+        log_path.write_text("", encoding="utf-8")
+    # each call ends where train_epochs writes a checkpoint, so the log holds
+    # exactly the epochs of the checkpoint a resume would start from
+    every, last = cfg.train.checkpoint_every, trainer.epoch + epochs
+    while trainer.epoch < last:
+        n = min(every - trainer.epoch % every, last - trainer.epoch)
+        lines = pipeline.train_epochs(trainer, utterances, n,
+                                      checkpoint_path=args.out, stats_path=str(stats_path))
+        with open(log_path, "a", encoding="utf-8") as f:
+            f.writelines(line + "\n" for line in lines)
     print(f"trained {epochs} epochs -> {args.out} (loss log: {log_path})")
     return 0
 

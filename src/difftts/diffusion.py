@@ -177,16 +177,19 @@ def guided_score(s_cond, s_uncond, gamma: float):
 def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
               cond_c: ScoreCondition, cond_mel: ScoreCondition | None,
               gamma: float, schedule: NoiseSchedule, cfg: Config) -> np.ndarray:
-    """Guided score; gamma 0 short-circuits to the conditional score.
+    """Guided score; gamma 0 short-circuits to the conditional score and is
+    the only setting that may omit ``cond_mel``.
 
     At gamma > 0 both conditions go through one ``score_net`` pass with the
     mels stacked on a batch axis.  Guidance holds the speaker fixed, so both
     conditions must carry the same speaker vector.
     """
-    if gamma == 0.0 or cond_mel is None:
+    if gamma == 0.0:
         with nc.no_grad():
             eps_c = score_net(store, x_t, t, cond_c, cfg).data
         return score_from_noise(eps_c, t, schedule)
+    if cond_mel is None:
+        raise ValueError(f"guidance at gamma={gamma} needs the unconditional mel condition")
     if cond_mel.mel.shape != cond_c.mel.shape:
         raise nc.ShapeError("conditional and unconditional mels must share frame count")
     if not np.array_equal(_tensor(store, cond_c.speaker).data,

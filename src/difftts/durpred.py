@@ -116,7 +116,7 @@ def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator) -> 
 
 
 def cross_attend(store: nc.ParamStore, text_emb: nc.Tensor, ref: ReferenceMel,
-                 cfg: Config, mask: np.ndarray | None = None) -> nc.Tensor:
+                 cfg: Config) -> nc.Tensor:
     """Attend text queries over the projected reference frames.
 
     The reference serves as both keys and values after one learned linear
@@ -125,15 +125,12 @@ def cross_attend(store: nc.ParamStore, text_emb: nc.Tensor, ref: ReferenceMel,
     m = nc.Tensor(ref.mel.values.astype(store.dtype))
     proj = nc.linear(m, store["dur.ref.w"].tensor, store["dur.ref.b"].tensor)
     q = text_emb @ store["dur.query.w"].tensor
-    out = nc.multi_head_attention(q, proj, proj, cfg.model.dur_heads)
-    if mask is not None:
-        out = nc.apply_mask(out, mask)
-    return out
+    return nc.multi_head_attention(q, proj, proj, cfg.model.dur_heads)
 
 
 def predict_log_durations(store: nc.ParamStore, attended: nc.Tensor, text_emb: nc.Tensor,
-                          cfg: Config, mask: np.ndarray | None = None) -> nc.Tensor:
-    """Two masked conv+norm blocks over [A | E_t], then a linear head.
+                          cfg: Config) -> nc.Tensor:
+    """Two conv+norm blocks over [A | E_t], then a linear head.
 
     The text embeddings ride along in separate channels so the head can
     weight phoneme identity and reference prosody independently.
@@ -145,8 +142,6 @@ def predict_log_durations(store: nc.ParamStore, attended: nc.Tensor, text_emb: n
         x = nc.conv1d(x, store[f"{b}.conv.w"].tensor, store[f"{b}.conv.b"].tensor, kernel=k)
         x = nc.tanh(x)
         x = nc.layer_norm(x, store[f"{b}.ln.gain"].tensor, store[f"{b}.ln.bias"].tensor)
-        if mask is not None:
-            x = nc.apply_mask(x, mask)
     return nc.linear(x, store["dur.head.w"].tensor, store["dur.head.b"].tensor)
 
 
@@ -172,15 +167,12 @@ def durations_to_frames(log_d: np.ndarray) -> DurationVector:
     return DurationVector(rounded.astype(np.int64), log_d)
 
 
-def duration_loss(log_d_pred: nc.Tensor, true_frames: np.ndarray,
-                  mask: np.ndarray) -> nc.Tensor:
-    """Mean squared error in log-duration space over real positions."""
+def duration_loss(log_d_pred: nc.Tensor, true_frames: np.ndarray) -> nc.Tensor:
+    """Mean squared error in log-duration space."""
     true_frames = np.asarray(true_frames, dtype=np.float64)
-    if np.any(true_frames[np.asarray(mask, dtype=bool)] <= 0):
+    if np.any(true_frames <= 0):
         raise InvalidTargetError("zero-length duration target")
-    target = np.zeros_like(true_frames, dtype=np.float64)
-    good = np.asarray(mask, dtype=bool)
-    target[good] = np.log(true_frames[good])
-    target_t = nc.Tensor(target.reshape(-1, 1).astype(log_d_pred.data.dtype))
-    diff = log_d_pred - target_t
-    return nc.masked_mean(diff * diff, good)
+    target = np.log(true_frames).reshape(-1, 1).astype(log_d_pred.data.dtype)
+    diff = log_d_pred - nc.Tensor(target)
+    # sum times 1/n, as Tensor division does; ``mean`` would divide instead
+    return (diff * diff).sum() / diff.data.size

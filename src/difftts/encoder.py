@@ -1,4 +1,4 @@
-"""Text encoder: embedding lookup plus masked conv/self-attention blocks.
+"""Text encoder: embedding lookup plus conv/self-attention blocks.
 
 Produces per-phoneme embeddings and a per-phoneme mel-mean prediction; the
 mel means expand to frame rate through the length regulator to become the
@@ -18,9 +18,8 @@ from .textfront import PhonemeSequence
 
 @dataclass
 class TextEncoding:
-    embeddings: nc.Tensor  # P x d_model, zero rows at padding
-    mu: nc.Tensor          # P x n_mels, zero rows at padding
-    mask: np.ndarray       # bool, True = real token
+    embeddings: nc.Tensor  # P x d_model
+    mu: nc.Tensor          # P x n_mels
 
 
 def init_params(store: nc.ParamStore, cfg: Config, vocab_size: int,
@@ -52,19 +51,17 @@ def init_params(store: nc.ParamStore, cfg: Config, vocab_size: int,
 
 
 def encode(store: nc.ParamStore, seq: PhonemeSequence, cfg: Config) -> TextEncoding:
-    """Run the block stack; padded positions stay exactly zero throughout."""
+    """Run the block stack over the token ids."""
     emb = store["enc.emb"].tensor
     if seq.ids.max() >= emb.shape[0]:
         raise nc.ShapeError("token id outside vocabulary range")
-    mask = seq.mask
     k = cfg.model.conv_kernel
     d = cfg.model.d_model
     d_head = d // cfg.model.n_heads
-    x = nc.apply_mask(nc.embedding(emb, seq.ids), mask)
+    x = nc.embedding(emb, seq.ids)
     for i in range(cfg.model.n_enc_blocks):
         b = f"enc.block{i}"
         h = nc.layer_norm(x, store[f"{b}.ln1.gain"].tensor, store[f"{b}.ln1.bias"].tensor)
-        h = nc.apply_mask(h, mask)
         # one product per head with its column block of the fused q/k/v
         # matrices: a single product per matrix rounds the backward sums
         # differently and so changes every trained parameter
@@ -72,37 +69,26 @@ def encode(store: nc.ParamStore, seq: PhonemeSequence, cfg: Config) -> TextEncod
         a = None
         for lo in range(0, d, d_head):
             q, kk, v = (h @ nc.slice_cols(w, lo, lo + d_head) for w in proj)
-            out, _ = nc.scaled_dot_attention(q, kk, v, mask=mask)
+            out = nc.scaled_dot_attention(q, kk, v)
             a = out if a is None else nc.concat_cols(a, out)
-        x = nc.apply_mask(x + a @ store[f"{b}.attn.out"].tensor, mask)
+        x = x + a @ store[f"{b}.attn.out"].tensor
         h = nc.layer_norm(x, store[f"{b}.ln2.gain"].tensor, store[f"{b}.ln2.bias"].tensor)
-        h = nc.apply_mask(h, mask)
         h = nc.conv1d(h, store[f"{b}.ff1.w"].tensor, store[f"{b}.ff1.b"].tensor, kernel=k)
-        h = nc.apply_mask(nc.tanh(h), mask)
+        h = nc.tanh(h)
         h = nc.conv1d(h, store[f"{b}.ff2.w"].tensor, store[f"{b}.ff2.b"].tensor, kernel=k)
-        x = nc.apply_mask(x + h, mask)
+        x = x + h
     x = nc.layer_norm(x, store["enc.ln_out.gain"].tensor, store["enc.ln_out.bias"].tensor)
-    x = nc.apply_mask(x, mask)
     mu = nc.linear(x, store["enc.mu.w"].tensor, store["enc.mu.b"].tensor)
-    mu = nc.apply_mask(mu, mask)
-    return TextEncoding(x, mu, mask)
+    return TextEncoding(x, mu)
 
 
 def expand_mu(enc: TextEncoding, durations: np.ndarray) -> nc.Tensor:
-    """Repeat each real phoneme's mel mean durations[p] times: frame-level mu.
+    """Repeat each phoneme's mel mean durations[p] times: frame-level mu.
 
     This is the aligned condition fed to the decoder; total frames equal the
     duration sum.
     """
-    durations = np.asarray(durations, dtype=np.int64)
-    n_real = int(enc.mask.sum())
-    if durations.shape != (n_real,):
-        raise nc.ShapeError(f"expected {n_real} durations, got {durations.shape}")
-    if durations.sum() < 1:
-        raise nc.ShapeError("expansion would produce zero frames")
-    counts = np.zeros(enc.mask.size, dtype=np.int64)
-    counts[enc.mask] = durations
-    return nc.repeat_rows(enc.mu, counts)
+    return nc.repeat_rows(enc.mu, durations)
 
 
 def encoder_prior_loss(frame_mu: nc.Tensor, target: np.ndarray) -> nc.Tensor:

@@ -2,8 +2,7 @@
 
 Layers operate on 2-D tensors laid out as positions x channels (phonemes or
 frames along axis 0); ``conv1d`` and ``layer_norm`` also take a leading
-batch axis.  Masks are plain boolean ndarrays, never part of the
-graph.
+batch axis.
 """
 
 from __future__ import annotations
@@ -11,10 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import ShapeError, Tensor, _node, concat_cols, slice_cols
-
-
-class DegenerateRowError(ValueError):
-    """A softmax row with every entry masked."""
 
 
 class Parameter:
@@ -104,21 +99,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return y
 
 
-def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax with max-subtraction; masked entries are exactly 0."""
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax with max-subtraction."""
     if x.data.ndim != 2:
         raise ShapeError("softmax_rows expects a 2-D tensor")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeError("mask shape must match input")
-        if (~mask.any(axis=1)).any():
-            raise DegenerateRowError("softmax row with all entries masked")
-    vals = x.data if mask is None else np.where(mask, x.data, -np.inf)
-    shifted = vals - vals.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
+    e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
     out = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
@@ -221,34 +206,10 @@ def l2_normalize(x: Tensor) -> Tensor:
     return _node(y.astype(x.data.dtype, copy=False), (x,), backward)
 
 
-def apply_mask(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Zero rows where mask is False."""
-    col = np.asarray(mask, dtype=x.data.dtype).reshape(-1, 1)
-    return x * Tensor(col)
-
-
-def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean of x over entries whose row mask is True."""
-    mask = np.asarray(mask, dtype=bool)
-    keep = np.zeros(x.shape, dtype=x.data.dtype)
-    keep[mask] = 1.0
-    count = float(keep.sum())
-    if count == 0:
-        raise ShapeError("masked_mean over an empty mask")
-    return (x * Tensor(keep)).sum() / count
-
-
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Single-head scaled dot-product attention; returns (output, weights)."""
-    d = q.shape[1]
-    scores = (q @ k.T) * (1.0 / np.sqrt(d))
-    full_mask = None
-    if mask is not None:
-        key_mask = np.asarray(mask, dtype=bool)
-        full_mask = np.broadcast_to(key_mask[None, :], (q.shape[0], k.shape[0]))
-    weights = softmax_rows(scores, full_mask)
-    return weights @ v, weights
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Single-head scaled dot-product attention."""
+    scores = (q @ k.T) * (1.0 / np.sqrt(q.shape[1]))
+    return softmax_rows(scores) @ v
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -263,8 +224,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     d_head = d // heads
     out = None
     for lo in range(0, d, d_head):
-        piece, _ = scaled_dot_attention(slice_cols(q, lo, lo + d_head), slice_cols(k, lo, lo + d_head),
-                                        slice_cols(v, lo, lo + d_head))
+        piece = scaled_dot_attention(slice_cols(q, lo, lo + d_head), slice_cols(k, lo, lo + d_head),
+                                     slice_cols(v, lo, lo + d_head))
         out = piece if out is None else concat_cols(out, piece)
     return out
 

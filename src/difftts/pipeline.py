@@ -75,9 +75,9 @@ def _utterance_losses(model: TTSModel, utt: Utterance, seq: PhonemeSequence,
     l_enc = encoder.encoder_prior_loss(frame_mu, mel64.astype(store.dtype))
     ref = durpred.crop_reference(pool, utt.utterance_id, rng, model.cfg.ref_frames,
                                  speaker=utt.speaker)
-    att = durpred.cross_attend(store, enc.embeddings, ref, cfg, mask=seq.mask)
-    log_d = durpred.predict_log_durations(store, att, enc.embeddings, cfg, mask=seq.mask)
-    l_dur = durpred.duration_loss(log_d, align.durations, seq.mask)
+    att = durpred.cross_attend(store, enc.embeddings, ref, cfg)
+    log_d = durpred.predict_log_durations(store, att, enc.embeddings, cfg)
+    l_dur = durpred.duration_loss(log_d, align.durations)
     e_s = speaker.embed_tensor(store, utt.mel)
     l_diff = diffusion.diffusion_loss(store, mel64.astype(store.dtype), frame_mu, e_s,
                                       rng, cfg.schedule, cfg)
@@ -217,9 +217,9 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
         ref = durpred.ReferenceMel(
             MelSpectrogram(window, ref_mel.sample_rate, ref_mel.hop_length, ref_mel.n_mels),
             "reference", "reference")
-        att = durpred.cross_attend(store, enc.embeddings, ref, cfg, mask=seq.mask)
-        log_d = durpred.predict_log_durations(store, att, enc.embeddings, cfg, mask=seq.mask)
-        durations = durpred.durations_to_frames(log_d.data[seq.mask])
+        att = durpred.cross_attend(store, enc.embeddings, ref, cfg)
+        log_d = durpred.predict_log_durations(store, att, enc.embeddings, cfg)
+        durations = durpred.durations_to_frames(log_d.data)
         frame_mu = encoder.expand_mu(enc, durations.frames).data
     e_s = speaker.embed_baseline(store, ref_mel)
     c_mel = broadcast_mean(stats, frame_mu.shape[0], cfg.audio.sample_rate,

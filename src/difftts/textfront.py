@@ -56,17 +56,13 @@ class Vocabulary:
 @dataclass
 class PhonemeSequence:
     ids: np.ndarray    # int64
-    mask: np.ndarray   # bool, True = real token
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.ids.shape != self.mask.shape:
-            raise ValueError("ids and mask must have equal length")
-        if not self.mask.any():
-            raise ValueError("sequence needs at least one real token")
-        if np.any(self.ids[self.mask] == PAD_ID):
-            raise ValueError("padding id among real tokens")
+        if self.ids.size == 0:
+            raise ValueError("sequence needs at least one token")
+        if np.any(self.ids == PAD_ID):
+            raise ValueError("padding id among tokens")
 
     def __len__(self) -> int:
         return self.ids.size
@@ -90,5 +86,5 @@ def encode_text(text: str, vocab: Vocabulary, mode: str = "characters") -> Phone
         raise EmptyTextError("text is empty after normalization")
     tokens = _split(normalized, mode)
     ids = np.array([vocab.id_of(t) for t in tokens], dtype=np.int64)
-    return PhonemeSequence(ids, np.ones(ids.size, dtype=bool))
+    return PhonemeSequence(ids)
 

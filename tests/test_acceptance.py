@@ -103,7 +103,7 @@ def test_criterion_1_gradient_integrity():
         store = nc.ParamStore(dtype=np.float64)
         encoder.init_params(store, cfg, 6, np.random.default_rng(trial))
         p_len = int(rng.integers(2, 6))
-        seq = PhonemeSequence(rng.integers(2, 6, size=p_len), np.ones(p_len, dtype=bool))
+        seq = PhonemeSequence(rng.integers(2, 6, size=p_len))
         tensors = [p.tensor for _, p in store.items()]
 
         def enc_forward():
@@ -302,11 +302,10 @@ def test_criterion_6_toy_training(toy_training):
             ref = durpred.crop_reference(pools[utt.speaker], utt.utterance_id, rng,
                                          TOY_CFG.ref_frames, speaker=utt.speaker)
             with nc.no_grad():
-                att = durpred.cross_attend(model.store, enc.embeddings, ref, TOY_CFG,
-                                           mask=seq.mask)
+                att = durpred.cross_attend(model.store, enc.embeddings, ref, TOY_CFG)
                 log_d = durpred.predict_log_durations(model.store, att, enc.embeddings,
-                                                      TOY_CFG, mask=seq.mask)
-            predicted = durpred.durations_to_frames(log_d.data[seq.mask]).total()
+                                                      TOY_CFG)
+            predicted = durpred.durations_to_frames(log_d.data).total()
             ratio = predicted / align.durations.sum()
             assert 0.8 <= ratio <= 1.2, f"{utt.utterance_id} crop {s}: ratio {ratio:.3f}"
 

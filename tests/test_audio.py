@@ -242,6 +242,61 @@ def test_mel_stats_unreadable_file_names_the_file(tmp_path):
         audio.load_mel_stats(tmp_path / "absent.bin")
 
 
+@pytest.fixture(scope="module")
+def stats_blob(tmp_path_factory):
+    # 4 mel bins: 56 header bytes + 16 value bytes; single-byte changes can
+    # zero the frame count (1) and make 1.25 (0x3FA00000) a NaN
+    p = tmp_path_factory.mktemp("melstats") / "small.bin"
+    audio.save_mel_stats(p, audio.MelStats(np.array([-2.0, 0.5, 1.25, 3.0]), 1, CFG.fingerprint()))
+    return p.read_bytes()
+
+
+def _load_stats_bytes(path, blob):
+    path.write_bytes(blob)
+    return audio.load_mel_stats(path)
+
+
+def test_mel_stats_zero_frame_count_names_the_file(stats_blob, tmp_path):
+    blob = stats_blob[:16] + bytes(8) + stats_blob[24:]
+    with pytest.raises(audio.AudioFormatError, match="zero.bin"):
+        _load_stats_bytes(tmp_path / "zero.bin", blob)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mel_stats_non_finite_mean_names_the_file(stats_blob, tmp_path, bad):
+    blob = stats_blob[:60] + np.array([bad], dtype="<f4").tobytes() + stats_blob[64:]
+    with pytest.raises(audio.AudioFormatError, match="nan.bin"):
+        _load_stats_bytes(tmp_path / "nan.bin", blob)
+
+
+def test_mel_stats_every_truncation_is_rejected(stats_blob, tmp_path):
+    p = tmp_path / "cut.bin"
+    for n in range(len(stats_blob)):
+        with pytest.raises(audio.AudioFormatError):
+            _load_stats_bytes(p, stats_blob[:n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(extra=st.binary(min_size=1, max_size=16))
+def test_mel_stats_appended_bytes_are_rejected(stats_blob, tmp_path_factory, extra):
+    with pytest.raises(audio.AudioFormatError):
+        _load_stats_bytes(tmp_path_factory.getbasetemp() / "long.bin", stats_blob + extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mel_stats_single_byte_change_loads_or_raises_typed(stats_blob, tmp_path_factory, data):
+    pos = data.draw(st.integers(0, len(stats_blob) - 1), label="pos")
+    blob = bytearray(stats_blob)
+    blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    try:
+        stats = _load_stats_bytes(tmp_path_factory.getbasetemp() / "flipped.bin", bytes(blob))
+    except audio.AudioFormatError:
+        return
+    assert stats.frame_count > 0
+    assert np.all(np.isfinite(stats.mean_frame))
+
+
 # -- griffin-lim ---------------------------------------------------------------
 
 def test_griffin_lim_recovers_tone():

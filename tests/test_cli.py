@@ -7,7 +7,7 @@ from difftts.audio import (AnalysisConfig, ConfigMismatchError, MelStats, load_m
 from difftts.checkpoint import CheckpointError, load_checkpoint
 from difftts.config import Config, GuidanceConfig, parse_config
 from difftts.corpus import load_corpus
-from difftts.textfront import build_vocab
+from difftts.textfront import build_vocab, encode_text
 
 TINY_CFG_TEXT = """
 audio.hop_length=512
@@ -107,6 +107,48 @@ def test_train_writes_final_checkpoint_once(corpus_dir, cfg_file, tmp_path, monk
                    "--out", ck, "--epochs", 2) == 0
     assert writes == [str(ck)]
     pipeline.load_trainer(ck)
+
+
+def test_train_starts_duration_head_at_corpus_rate(corpus_dir, cfg_file, tmp_path):
+    ck = tmp_path / "m.ckpt"
+    assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_file,
+                   "--out", ck, "--epochs", 1) == 0
+    cfg = parse_config(TINY_CFG_TEXT)
+    utts = load_corpus(corpus_dir, cfg)
+    vocab = build_vocab([u.text for u in utts], cfg.token_mode)
+    frames = sum(u.mel.frames for u in utts)
+    tokens = sum(len(encode_text(u.text, vocab, cfg.token_mode)) for u in utts)
+    bias = load_checkpoint(ck)[1]["param.dur.head.b"]
+    assert abs(float(bias[0]) - np.log(frames / tokens)) < 0.05
+
+
+def test_loss_log_holds_the_epochs_of_the_last_checkpoint(corpus_dir, tmp_path, monkeypatch):
+    cfg_file = tmp_path / "every2.cfg"
+    cfg_file.write_text(TINY_CFG_TEXT.replace("checkpoint_every=50", "checkpoint_every=2"),
+                        encoding="utf-8")
+    common = ("--corpus", corpus_dir, "--config", cfg_file, "--stats", tmp_path / "s.bin")
+    whole_log = tmp_path / "whole.csv"
+    assert run_cli("train", *common, "--out", tmp_path / "whole.ckpt", "--log", whole_log,
+                   "--epochs", 4) == 0
+
+    calls = []
+    real = pipeline._utterance_losses
+
+    def failing_in_epoch_3(*args):
+        calls.append(None)
+        if len(calls) == 9:  # 4 utterances per epoch: the first one of epoch 3
+            raise RuntimeError("injected failure")
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "_utterance_losses", failing_in_epoch_3)
+    ck, log = tmp_path / "m.ckpt", tmp_path / "m.csv"
+    assert run_cli("train", *common, "--out", ck, "--log", log, "--epochs", 4) == 1
+    assert [line.split(",")[0] for line in log.read_text().splitlines()] == ["1", "2"]
+    assert pipeline.load_trainer(ck)[0].epoch == 2
+    monkeypatch.setattr(pipeline, "_utterance_losses", real)
+    assert run_cli("train", *common, "--out", ck, "--log", log, "--resume", ck,
+                   "--epochs", 2) == 0
+    assert log.read_bytes() == whole_log.read_bytes()
 
 
 def test_train_rejects_zero_epochs(corpus_dir, cfg_file, tmp_path, capsys):

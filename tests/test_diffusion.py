@@ -319,6 +319,19 @@ def test_gamma_zero_sampling_matches_conditional_bitwise(tiny_cfg):
     assert np.array_equal(with_uncond, without)
 
 
+def test_guidance_without_unconditional_mel_is_refused(tiny_cfg):
+    store = make_store(tiny_cfg)
+    rng = np.random.default_rng(14)
+    mu = rng.standard_normal((4, tiny_cfg.audio.n_mels))
+    spk = rng.standard_normal(tiny_cfg.model.d_spk)
+    cond = diffusion.ScoreCondition(mu, spk)
+    with pytest.raises(ValueError, match="unconditional mel"):
+        diffusion.cfg_score(store, mu, 0.5, cond, None, 1.0, SCHED, tiny_cfg)
+    guide = diffusion.GuidanceConfig(gamma=0.5, steps=2, temperature=1.0)
+    with pytest.raises(ValueError, match="unconditional mel"):
+        diffusion.reverse_sample(store, mu, spk, guide, SCHED, tiny_cfg, seed=1)
+
+
 def test_single_step_matches_hand_update(tiny_cfg):
     # zero-init head -> eps_hat = 0 -> score = 0, so one Euler step is pure
     # mean reversion on the initial noise draw

@@ -181,22 +181,14 @@ def test_durations_up_to_the_frame_limit_pass():
 
 
 def test_duration_loss_values():
-    mask = np.array([True, True])
     pred = nc.Tensor(np.log(np.array([[1.0], [2.0]])))
-    assert durpred.duration_loss(pred, np.array([1, 2]), mask).item() == 0.0
+    assert durpred.duration_loss(pred, np.array([1, 2])).item() == 0.0
     shifted = nc.Tensor(np.log(np.array([[1.0], [2.0]])) + 1.0)
-    assert durpred.duration_loss(shifted, np.array([1, 2]), mask).item() == pytest.approx(1.0)
+    assert durpred.duration_loss(shifted, np.array([1, 2])).item() == pytest.approx(1.0)
     hand = nc.Tensor(np.array([[0.0], [np.log(2.0)]]))
-    assert durpred.duration_loss(hand, np.array([1, 2]), mask).item() == pytest.approx(0.0)
+    assert durpred.duration_loss(hand, np.array([1, 2])).item() == pytest.approx(0.0)
 
 
 def test_duration_loss_rejects_zero_targets():
     with pytest.raises(durpred.InvalidTargetError):
-        durpred.duration_loss(nc.Tensor(np.zeros((2, 1))), np.array([1, 0]),
-                              np.array([True, True]))
-
-
-def test_duration_loss_ignores_padded_positions():
-    mask = np.array([True, False])
-    pred = nc.Tensor(np.array([[0.0], [123.0]]))
-    assert durpred.duration_loss(pred, np.array([1, 0]), mask).item() == 0.0
+        durpred.duration_loss(nc.Tensor(np.zeros((2, 1))), np.array([1, 0]))

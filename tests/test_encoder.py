@@ -13,11 +13,8 @@ def make_store(cfg, vocab_size=7, seed=0):
     return store
 
 
-def seq_of(ids, mask=None):
-    ids = np.asarray(ids)
-    if mask is None:
-        mask = np.ones(ids.size, dtype=bool)
-    return PhonemeSequence(ids, mask)
+def seq_of(ids):
+    return PhonemeSequence(np.asarray(ids))
 
 
 def test_shapes(tiny_cfg):
@@ -25,16 +22,6 @@ def test_shapes(tiny_cfg):
     enc = encoder.encode(store, seq_of([2, 3, 4, 5, 2]), tiny_cfg)
     assert enc.embeddings.shape == (5, tiny_cfg.model.d_model)
     assert enc.mu.shape == (5, tiny_cfg.audio.n_mels)
-
-
-def test_padding_does_not_change_real_rows(tiny_cfg):
-    store = make_store(tiny_cfg)
-    plain = encoder.encode(store, seq_of([2, 3, 4]), tiny_cfg)
-    padded = encoder.encode(store, seq_of([2, 3, 4, 0, 0], mask=[True, True, True, False, False]), tiny_cfg)
-    np.testing.assert_array_equal(plain.embeddings.data, padded.embeddings.data[:3])
-    np.testing.assert_array_equal(plain.mu.data, padded.mu.data[:3])
-    assert np.all(padded.embeddings.data[3:] == 0.0)
-    assert np.all(padded.mu.data[3:] == 0.0)
 
 
 def test_deterministic_across_runs(tiny_cfg):
@@ -71,8 +58,7 @@ def test_expand_mu_identity(tiny_cfg):
 def test_expand_mu_repeats():
     enc = encoder.TextEncoding(
         embeddings=nc.Tensor(np.zeros((1, 4))),
-        mu=nc.Tensor(np.array([[7.0]])),
-        mask=np.array([True]))
+        mu=nc.Tensor(np.array([[7.0]])))
     out = encoder.expand_mu(enc, np.array([3]))
     np.testing.assert_array_equal(out.data, [[7.0], [7.0], [7.0]])
 
@@ -80,18 +66,9 @@ def test_expand_mu_repeats():
 def test_expand_mu_direct_repetition():
     enc = encoder.TextEncoding(
         embeddings=nc.Tensor(np.zeros((2, 4))),
-        mu=nc.Tensor(np.array([[0.0], [1.0]])),
-        mask=np.array([True, True]))
+        mu=nc.Tensor(np.array([[0.0], [1.0]])))
     out = encoder.expand_mu(enc, np.array([2, 1]))
     np.testing.assert_array_equal(out.data, [[0.0], [0.0], [1.0]])
-
-
-def test_expand_mu_skips_padded_rows(tiny_cfg):
-    store = make_store(tiny_cfg)
-    enc = encoder.encode(store, seq_of([2, 3, 0], mask=[True, True, False]), tiny_cfg)
-    out = encoder.expand_mu(enc, np.array([2, 2]))
-    assert out.shape[0] == 4
-    np.testing.assert_array_equal(out.data[:2], np.tile(enc.mu.data[0], (2, 1)))
 
 
 def test_expand_mu_length_checks(tiny_cfg):

@@ -56,18 +56,6 @@ def test_softmax_shift_invariance():
     np.testing.assert_allclose(big.data, small.data, rtol=1e-12)
 
 
-def test_softmax_mask_zeroes_entries():
-    mask = np.array([[True, False, True]])
-    out = nc.softmax_rows(t([[1.0, 5.0, 2.0]]), mask)
-    assert out.data[0, 1] == 0.0
-    np.testing.assert_allclose(out.data.sum(axis=1), [1.0], atol=1e-9)
-
-
-def test_softmax_fully_masked_row():
-    with pytest.raises(nc.DegenerateRowError):
-        nc.softmax_rows(t([[1.0, 2.0]]), np.array([[False, False]]))
-
-
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
 @settings(max_examples=50, deadline=None)
 def test_softmax_rows_sum_to_one(m, n, seed):

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftts import numcore as nc
 from difftts import speaker
@@ -97,6 +99,43 @@ def test_trailing_bytes_rejected(tmp_path, extra):
 def test_unreadable_file_names_the_file(tmp_path):
     with pytest.raises(speaker.EmbeddingFormatError, match="absent.bin"):
         speaker.load_external_embedding(tmp_path / "absent.bin")
+
+
+@pytest.fixture(scope="module")
+def emb_blob(tmp_path_factory):
+    return raw_file(tmp_path_factory.mktemp("spkemb") / "e.bin", [3.0, -4.0, 0.5]).read_bytes()
+
+
+def _load_emb_bytes(path, blob):
+    path.write_bytes(blob)
+    return speaker.load_external_embedding(path)
+
+
+def test_every_truncation_rejected(emb_blob, tmp_path):
+    p = tmp_path / "cut.bin"
+    for n in range(len(emb_blob)):
+        with pytest.raises(speaker.EmbeddingFormatError):
+            _load_emb_bytes(p, emb_blob[:n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(extra=st.binary(min_size=1, max_size=16))
+def test_appended_bytes_rejected(emb_blob, tmp_path_factory, extra):
+    with pytest.raises(speaker.EmbeddingFormatError):
+        _load_emb_bytes(tmp_path_factory.getbasetemp() / "long.bin", emb_blob + extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_single_byte_change_loads_or_raises_typed(emb_blob, tmp_path_factory, data):
+    pos = data.draw(st.integers(0, len(emb_blob) - 1), label="pos")
+    blob = bytearray(emb_blob)
+    blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    try:
+        emb = _load_emb_bytes(tmp_path_factory.getbasetemp() / "flipped.bin", bytes(blob))
+    except speaker.EmbeddingFormatError:
+        return
+    assert abs(np.linalg.norm(emb.vector) - 1.0) <= 1e-6
 
 
 def test_sim_o_basics():

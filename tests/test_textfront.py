@@ -28,7 +28,6 @@ def test_encode_basic():
     vocab = tf.Vocabulary({"a": 2, "b": 3})
     seq = tf.encode_text("ab", vocab)
     np.testing.assert_array_equal(seq.ids, [2, 3])
-    assert seq.mask.all()
 
 
 def test_encode_unknown_fallback():
@@ -61,6 +60,6 @@ def test_encode_decode_round_trip():
 
 def test_sequence_invariants():
     with pytest.raises(ValueError):
-        tf.PhonemeSequence(np.array([tf.PAD_ID]), np.array([True]))
+        tf.PhonemeSequence(np.array([2, tf.PAD_ID]))
     with pytest.raises(ValueError):
-        tf.PhonemeSequence(np.array([2]), np.array([False]))
+        tf.PhonemeSequence(np.array([], dtype=np.int64))
