@@ -8,6 +8,7 @@ directory.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -35,7 +36,9 @@ def main():
     ap.add_argument("--gamma", type=float, default=1.0)
     args = ap.parse_args()
 
-    work = Path(args.work_dir)
+    # relative paths throughout: the checkpoint then stores its stats path
+    # relative to itself, the same wherever the work directory lies
+    work = Path(os.path.relpath(args.work_dir))
     corpus = work / "corpus"
     work.mkdir(parents=True, exist_ok=True)
     toydata.make_corpus(corpus, n_speakers=2, utts_per_speaker=4, seconds=5.0, seed=0)
@@ -50,8 +53,7 @@ def main():
          "--stats", work / "melstats.bin", "--log", work / "losses.csv"],
         ["synth", "--checkpoint", ckpt, "--text", "abda cefg ba",
          "--ref", corpus / "spk1_u0.wav", "--out", work / "synth.wav",
-         "--gamma", str(args.gamma), "--steps", "50", "--seed", "7",
-         "--stats", work / "melstats.bin"],
+         "--gamma", str(args.gamma), "--steps", "50", "--seed", "7"],
     ]
     for argv in steps:
         print("+ difftts " + " ".join(str(a) for a in argv))

@@ -7,6 +7,7 @@ log(1e-5).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -17,6 +18,10 @@ from typing import Sequence
 import numpy as np
 
 LOG_FLOOR = 1e-5
+
+# momentum alpha of the fast Griffin-Lim algorithm (Perraudin, Balazs &
+# Soendergaard, "A fast Griffin-Lim algorithm", WASPAA 2013)
+FGLA_MOMENTUM = 0.99
 
 MELSTATS_MAGIC = b"MELSTATS"
 MELSTATS_VERSION = 1
@@ -266,13 +271,26 @@ def mel_filterbank(cfg: AnalysisConfig) -> np.ndarray:
     return fb
 
 
+@functools.cache
+def _mel_basis(cfg: AnalysisConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``mel_filterbank(cfg)`` and its pseudo-inverse, built once per config.
+
+    Both arrays are shared by every caller, so they are read-only.
+    """
+    fb = mel_filterbank(cfg)
+    inv = np.linalg.pinv(fb)
+    fb.flags.writeable = False
+    inv.flags.writeable = False
+    return fb, inv
+
+
 def wav_to_mel(w: Waveform, cfg: AnalysisConfig) -> MelSpectrogram:
     """Log-mel analysis; requires the waveform to match the config rate."""
     if w.sample_rate != cfg.sample_rate:
         raise ConfigMismatchError(
             f"waveform rate {w.sample_rate} != config rate {cfg.sample_rate}; resample first")
     mag = stft_magnitude(w.samples, cfg)
-    mel = mag @ mel_filterbank(cfg).T
+    mel = mag @ _mel_basis(cfg)[0].T
     values = np.log(np.maximum(mel, LOG_FLOOR))
     return MelSpectrogram(values, cfg.sample_rate, cfg.hop_length, cfg.n_mels)
 
@@ -347,26 +365,37 @@ def load_mel_stats(path) -> MelStats:
 
 
 def _mel_to_linear_magnitude(m: MelSpectrogram, cfg: AnalysisConfig) -> np.ndarray:
-    mel_mag = np.exp(m.values)
-    fb = mel_filterbank(cfg)
-    return np.maximum(mel_mag @ np.linalg.pinv(fb).T, 0.0)
+    return np.maximum(np.exp(m.values) @ _mel_basis(cfg)[1].T, 0.0)
 
 
 def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int, seed: int) -> np.ndarray:
+    """Fast Griffin-Lim: ``iterations`` inverse STFTs from a random phase.
+
+    Each pass takes ``proj``, the STFT of the current signal, extrapolates
+    it to ``proj + FGLA_MOMENTUM * (proj - prev)`` (``prev`` is the last
+    pass's ``proj``, zero on the first) and sets that spectrum's magnitude to
+    ``target`` before inverting it.  Between passes only ``spec``, updated
+    in place, and ``prev`` are kept.
+    """
     n_frames = target.shape[0]
     win = _window(cfg)
     norm = _istft_norm(n_frames, win, cfg)
     rng = np.random.default_rng(seed)
-    phase = np.exp(2j * np.pi * rng.random(target.shape))
-    x = _istft(target * phase, cfg, win, norm)
+    spec = target * np.exp(2j * np.pi * rng.random(target.shape))
+    x = _istft(spec, cfg, win, norm)
+    prev = np.zeros_like(spec)
     for _ in range(iterations - 1):
-        spec = _stft_complex(x, cfg, win)[:n_frames]
-        phase = spec / np.maximum(np.abs(spec), 1e-12)
-        x = _istft(target * phase, cfg, win, norm)
+        proj = _stft_complex(x, cfg, win)[:n_frames]
+        np.subtract(proj, prev, out=spec)
+        spec *= FGLA_MOMENTUM
+        spec += proj
+        prev = proj
+        spec *= target / np.maximum(np.abs(spec), 1e-12)
+        x = _istft(spec, cfg, win, norm)
     return x
 
 
-def griffin_lim(m: MelSpectrogram, cfg: AnalysisConfig, iterations: int = 32,
+def griffin_lim(m: MelSpectrogram, cfg: AnalysisConfig, iterations: int = 16,
                 seed: int = 0) -> Waveform:
     """Invert a log-mel spectrogram by mel pseudo-inverse + phase recovery."""
     if iterations < 1:

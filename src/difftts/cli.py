@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -54,6 +55,10 @@ def cmd_train(args) -> int:
     else:
         vocab = build_vocab([u.text for u in utterances], cfg.token_mode)
         trainer = pipeline.new_trainer(cfg, vocab, utterances)
+    # a relative stats path is stored relative to the checkpoint's directory,
+    # so `difftts synth` finds the file from any working directory
+    stored_stats = (str(stats_path) if stats_path.is_absolute()
+                    else os.path.relpath(stats_path, Path(args.out).parent))
     epochs = args.epochs if args.epochs is not None else cfg.train.epochs
     log_path = Path(args.log) if args.log else Path(args.out).with_suffix(".losses.csv")
     if not args.resume:
@@ -64,7 +69,7 @@ def cmd_train(args) -> int:
     while trainer.epoch < last:
         n = min(every - trainer.epoch % every, last - trainer.epoch)
         lines = pipeline.train_epochs(trainer, utterances, n,
-                                      checkpoint_path=args.out, stats_path=str(stats_path))
+                                      checkpoint_path=args.out, stats_path=stored_stats)
         with open(log_path, "a", encoding="utf-8") as f:
             f.writelines(line + "\n" for line in lines)
     print(f"trained {epochs} epochs -> {args.out} (loss log: {log_path})")
@@ -74,7 +79,10 @@ def cmd_train(args) -> int:
 def cmd_synth(args) -> int:
     trainer, stats_ref = pipeline.load_trainer(args.checkpoint,
                                                load_config(args.config) if args.config else None)
-    stats_path = Path(args.stats) if args.stats else Path(stats_ref) if stats_ref else None
+    if args.stats:
+        stats_path = Path(args.stats)
+    else:  # a stored relative path is relative to the checkpoint's directory
+        stats_path = Path(args.checkpoint).parent / stats_ref if stats_ref else None
     if stats_path is None or not stats_path.exists():
         print(f"error: mel stats file {stats_path} not found; run `difftts stats` "
               "over the training corpus first", file=sys.stderr)

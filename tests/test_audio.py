@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from difftts import audio
+from difftts import audio, toydata
 
 
 CFG = audio.AnalysisConfig()
@@ -331,6 +334,53 @@ def test_griffin_lim_error_monotone_in_iterations():
     e1 = griffin_lim_error(m, CFG, iterations=8, seed=1)
     e2 = griffin_lim_error(m, CFG, iterations=16, seed=1)
     assert e2 <= e1 + 1e-9
+
+
+def plain_griffin_lim(target, cfg, iterations, seed):
+    """Griffin-Lim without momentum: the reference fast Griffin-Lim must beat."""
+    n_frames = target.shape[0]
+    win = audio._window(cfg)
+    norm = audio._istft_norm(n_frames, win, cfg)
+    rng = np.random.default_rng(seed)
+    phase = np.exp(2j * np.pi * rng.random(target.shape))
+    x = audio._istft(target * phase, cfg, win, norm)
+    for _ in range(iterations - 1):
+        spec = audio._stft_complex(x, cfg, win)[:n_frames]
+        phase = spec / np.maximum(np.abs(spec), 1e-12)
+        x = audio._istft(target * phase, cfg, win, norm)
+    return x
+
+
+def spectral_convergence(x, target, cfg):
+    got = np.abs(audio._stft_complex(x, cfg))[:target.shape[0]]
+    return float(np.linalg.norm(got - target) / np.linalg.norm(target))
+
+
+@pytest.mark.parametrize("seconds", [2, 4, 6])
+def test_fast_griffin_lim_beats_plain_at_twice_the_iterations(seconds):
+    voice = toydata.default_voices(2)[1]
+    text = toydata.random_text(np.random.default_rng(seconds), seconds, voice.tempo)
+    w = audio.Waveform(toydata.render_text(voice, text, CFG.sample_rate), CFG.sample_rate)
+    target = audio._mel_to_linear_magnitude(audio.wav_to_mel(w, CFG), CFG)
+    default = inspect.signature(audio.griffin_lim).parameters["iterations"].default
+    fast = spectral_convergence(audio._gl_iterate(target, CFG, default, 0), target, CFG)
+    plain = spectral_convergence(plain_griffin_lim(target, CFG, 32, 0), target, CFG)
+    assert fast <= plain
+
+
+def test_mel_basis_is_one_read_only_pinv_per_config():
+    fb, inv = audio._mel_basis(SMALL)
+    assert np.array_equal(fb, audio.mel_filterbank(SMALL))
+    assert np.array_equal(inv, np.linalg.pinv(audio.mel_filterbank(SMALL)))
+    assert audio._mel_basis(SMALL)[1] is inv
+    for shared in (fb, inv):
+        with pytest.raises(ValueError):
+            shared[0, 0] = 1.0
+    narrower = dataclasses.replace(SMALL, fmax=6000.0)
+    other_fb, other_inv = audio._mel_basis(narrower)
+    assert other_inv is not inv
+    assert np.array_equal(other_inv, np.linalg.pinv(audio.mel_filterbank(narrower)))
+    assert not np.array_equal(other_fb, fb)
 
 
 def overlap_add_loop(frames, hop):

@@ -352,6 +352,24 @@ def test_synth_rejects_stats_from_another_config(trained, corpus_dir, tmp_path, 
                             load_wav(corpus_dir / "spk0_u0.wav"), gamma=1.0, steps=2, seed=0)
 
 
+def test_synth_finds_stats_relative_to_the_checkpoint(corpus_dir, tmp_path, monkeypatch, capsys):
+    work = tmp_path / "toy1"
+    work.mkdir()
+    (work / "tiny.cfg").write_text(TINY_CFG_TEXT, encoding="utf-8")
+    monkeypatch.chdir(work)
+    assert run_cli("train", "--corpus", corpus_dir, "--config", "tiny.cfg", "--out", "model.ckpt",
+                   "--stats", "melstats.bin", "--epochs", 1) == 0
+    assert checkpoint.load_checkpoint("model.ckpt")[0]["melstats"] == "melstats.bin"
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("synth", "--checkpoint", "toy1/model.ckpt", "--text", "ab",
+                   "--ref", corpus_dir / "spk0_u0.wav", "--out", "o.wav", "--steps", 2) == 0
+    assert (tmp_path / "o.wav").exists()
+
+
+def test_absolute_stats_path_is_stored_as_given(trained):
+    assert checkpoint.load_checkpoint(trained["checkpoint"])[0]["melstats"] == str(trained["stats"])
+
+
 def test_synth_defaults_come_from_checkpoint_config(corpus_dir, tmp_path, monkeypatch):
     cfg_path = tmp_path / "guided.cfg"
     cfg_path.write_text(TINY_CFG_TEXT + "guidance.steps=3\nguidance.gamma=0\n", encoding="utf-8")

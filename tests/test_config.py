@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftts import config as cf
 
@@ -70,3 +72,42 @@ def test_file_round_trip(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("\n".join(cfg.to_lines()) + "\n", encoding="utf-8")
     assert cf.load_config(p) == cfg
+
+
+# every key at its default, so byte changes reach every field's validation
+CONFIG_BLOB = ("\n".join(cf.Config().to_lines()) + "\n").encode("utf-8")
+
+
+def _load_config_bytes(path, blob):
+    path.write_bytes(blob)
+    try:
+        cf.load_config(path)
+    except cf.ConfigError:
+        pass
+
+
+def test_every_config_truncation_loads_or_raises_config_error(tmp_path):
+    p = tmp_path / "cut.cfg"
+    for n in range(len(CONFIG_BLOB)):
+        _load_config_bytes(p, CONFIG_BLOB[:n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(extra=st.binary(min_size=1, max_size=16))
+def test_config_appended_bytes_load_or_raise_config_error(tmp_path_factory, extra):
+    _load_config_bytes(tmp_path_factory.getbasetemp() / "long.cfg", CONFIG_BLOB + extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_config_single_byte_change_loads_or_raises_config_error(tmp_path_factory, data):
+    pos = data.draw(st.integers(0, len(CONFIG_BLOB) - 1), label="pos")
+    blob = bytearray(CONFIG_BLOB)
+    blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    _load_config_bytes(tmp_path_factory.getbasetemp() / "flipped.cfg", bytes(blob))
+
+
+@pytest.mark.parametrize("line", ["model.n_heads=0", "model.dur_heads=0"])
+def test_zero_head_count_raises_config_error(line):
+    with pytest.raises(cf.ConfigError, match="positive"):
+        cf.parse_config(line + "\n")

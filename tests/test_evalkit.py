@@ -245,3 +245,40 @@ def test_read_manifest_unreadable_file_names_the_file(tmp_path):
                    "u1\td\tl\tcaf\xe9\t\t\n").encode("latin-1"))
     with pytest.raises(ek.ManifestError, match="latin1.tsv"):
         ek.read_manifest(p)
+
+
+# a multi-byte character, so that truncations also split a UTF-8 sequence
+MANIFEST_BLOB = ("id\tdataset\tlanguage\treference\thypothesis\tsim_o\n"
+                 "u1\tindicsuperb\thindi\tनमस्ते\tabxd\t\n"
+                 "u2\tindicsuperb\thindi\tabcd\t\t0.7291\n").encode("utf-8")
+
+
+def _load_manifest_bytes(path, blob):
+    path.write_bytes(blob)
+    try:
+        return ek.read_manifest(path)
+    except ek.ManifestError:
+        return None
+
+
+def test_every_manifest_truncation_loads_or_raises_manifest_error(tmp_path):
+    p = tmp_path / "cut.tsv"
+    for n in range(len(MANIFEST_BLOB)):
+        _load_manifest_bytes(p, MANIFEST_BLOB[:n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(extra=st.binary(min_size=1, max_size=16))
+def test_manifest_appended_bytes_load_or_raise_manifest_error(tmp_path_factory, extra):
+    _load_manifest_bytes(tmp_path_factory.getbasetemp() / "long.tsv", MANIFEST_BLOB + extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_manifest_single_byte_change_loads_or_raises_manifest_error(tmp_path_factory, data):
+    pos = data.draw(st.integers(0, len(MANIFEST_BLOB) - 1), label="pos")
+    blob = bytearray(MANIFEST_BLOB)
+    blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    records = _load_manifest_bytes(tmp_path_factory.getbasetemp() / "flipped.tsv", bytes(blob))
+    if records is not None:
+        assert all(r.hypothesis is not None or r.sim_o is not None for r in records)
