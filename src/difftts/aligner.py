@@ -65,21 +65,20 @@ def mas(log_prior: np.ndarray) -> AlignmentResult:
     if n_p < 1 or n_f < n_p:
         raise InfeasibleError(f"need F >= P >= 1, got P={n_p}, F={n_f}")
 
-    q = np.full((n_p, n_f), NEG_INF)
-    q[0, 0] = log_prior[0, 0]
+    # frame-major with a -inf column in front: q[f, p + 1] is the best score at
+    # phoneme p on frame f, so row f - 1 holds p's stay and move candidates
+    q = np.full((n_f, n_p + 1), NEG_INF)
+    q[0, 1] = log_prior[0, 0]
+    lp_t = np.ascontiguousarray(log_prior.T)
     for f in range(1, n_f):
-        stay = q[:, f - 1]
-        move = np.concatenate(([NEG_INF], q[:-1, f - 1]))
-        q[:, f] = log_prior[:, f] + np.maximum(stay, move)
+        np.add(lp_t[f], np.maximum(q[f - 1, 1:], q[f - 1, :-1]), out=q[f, 1:])
 
     assignment = np.empty(n_f, dtype=np.int64)
     p = n_p - 1
     assignment[n_f - 1] = p
     for f in range(n_f - 1, 0, -1):
-        stay = q[p, f - 1]
-        move = q[p - 1, f - 1] if p > 0 else NEG_INF
         # ties switch phonemes as late as possible in forward time
-        if move >= stay:
+        if q[f - 1, p] >= q[f - 1, p + 1]:
             p -= 1
         assignment[f - 1] = p
 

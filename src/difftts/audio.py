@@ -186,9 +186,8 @@ def frame_count(n_samples: int, hop_length: int) -> int:
     return 1 + n_samples // hop_length
 
 
-def _stft_complex(samples: np.ndarray, cfg: AnalysisConfig,
-                  win: np.ndarray | None = None) -> np.ndarray:
-    """Centered complex STFT; ``win`` is ``_window(cfg)`` when a caller has it at hand."""
+def _frames(samples: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
+    """The centered, reflect-padded analysis frames: a read-only strided view."""
     samples = np.asarray(samples, dtype=np.float64)
     n_frames = frame_count(samples.size, cfg.hop_length)
     if samples.size < cfg.n_fft:  # reflect padding needs a full window
@@ -196,10 +195,12 @@ def _stft_complex(samples: np.ndarray, cfg: AnalysisConfig,
     half = cfg.n_fft // 2
     # an odd n_fft needs one more sample on the right for the last frame
     padded = np.pad(samples, (half, cfg.n_fft - half), mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[::cfg.hop_length][:n_frames]
-    if win is None:
-        win = _window(cfg)
-    return np.fft.rfft(frames * win[None, :], axis=1)
+    return np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[::cfg.hop_length][:n_frames]
+
+
+def _stft_complex(samples: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
+    """Centered complex STFT."""
+    return np.fft.rfft(_frames(samples, cfg) * _window(cfg)[None, :], axis=1)
 
 
 def stft_magnitude(samples: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
@@ -242,8 +243,10 @@ def _istft(spec: np.ndarray, cfg: AnalysisConfig, win: np.ndarray,
     ``win`` is ``_window(cfg)`` and ``norm`` is ``_istft_norm`` for this
     frame count; Griffin-Lim builds both once for all of its iterations.
     """
-    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1) * win[None, :]
-    out = _overlap_add(frames, cfg.hop_length) / norm
+    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1)
+    frames *= win
+    out = _overlap_add(frames, cfg.hop_length)
+    out /= norm
     total = out.size
     half = cfg.n_fft // 2
     end = max(total - half, half + cfg.hop_length)  # never return empty audio
@@ -298,6 +301,13 @@ def wav_to_mel(w: Waveform, cfg: AnalysisConfig) -> MelSpectrogram:
 # -- corpus statistics -------------------------------------------------------
 
 
+def _check_mel_config(m: MelSpectrogram, cfg: AnalysisConfig) -> None:
+    for field in ("sample_rate", "hop_length", "n_mels"):
+        if getattr(m, field) != getattr(cfg, field):
+            raise ConfigMismatchError(f"mel spectrogram {field} {getattr(m, field)} != "
+                                      f"analysis config {field} {getattr(cfg, field)}")
+
+
 def mean_mel(corpus: Sequence[MelSpectrogram], cfg: AnalysisConfig) -> MelStats:
     """Per-bin mean over every frame of every utterance.
 
@@ -307,8 +317,7 @@ def mean_mel(corpus: Sequence[MelSpectrogram], cfg: AnalysisConfig) -> MelStats:
     if not corpus:
         raise ValueError("empty corpus")
     for m in corpus:
-        if (m.sample_rate, m.hop_length, m.n_mels) != (cfg.sample_rate, cfg.hop_length, cfg.n_mels):
-            raise ConfigMismatchError("mel spectrogram does not match the analysis config")
+        _check_mel_config(m, cfg)
     n_mels = cfg.n_mels
     per_utt = [m.values.sum(axis=0) for m in corpus]
     totals = np.array([math.fsum(s[b] for s in per_utt) for b in range(n_mels)])
@@ -374,8 +383,8 @@ def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int, seed: 
     Each pass takes ``proj``, the STFT of the current signal, extrapolates
     it to ``proj + FGLA_MOMENTUM * (proj - prev)`` (``prev`` is the last
     pass's ``proj``, zero on the first) and sets that spectrum's magnitude to
-    ``target`` before inverting it.  Between passes only ``spec``, updated
-    in place, and ``prev`` are kept.
+    ``target`` before inverting it.  Besides ``prev``, the passes share
+    ``spec`` and the frame and magnitude buffers, all updated in place.
     """
     n_frames = target.shape[0]
     win = _window(cfg)
@@ -384,13 +393,16 @@ def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int, seed: 
     spec = target * np.exp(2j * np.pi * rng.random(target.shape))
     x = _istft(spec, cfg, win, norm)
     prev = np.zeros_like(spec)
+    frames = np.empty((n_frames, cfg.n_fft))
+    mag = np.empty(target.shape)
     for _ in range(iterations - 1):
-        proj = _stft_complex(x, cfg, win)[:n_frames]
+        proj = np.fft.rfft(np.multiply(_frames(x, cfg)[:n_frames], win, out=frames), axis=1)
         np.subtract(proj, prev, out=spec)
         spec *= FGLA_MOMENTUM
         spec += proj
         prev = proj
-        spec *= target / np.maximum(np.abs(spec), 1e-12)
+        np.maximum(np.abs(spec, out=mag), 1e-12, out=mag)
+        spec *= np.divide(target, mag, out=mag)
         x = _istft(spec, cfg, win, norm)
     return x
 
@@ -400,6 +412,7 @@ def griffin_lim(m: MelSpectrogram, cfg: AnalysisConfig, iterations: int = 16,
     """Invert a log-mel spectrogram by mel pseudo-inverse + phase recovery."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    _check_mel_config(m, cfg)
     target = _mel_to_linear_magnitude(m, cfg)
     x = _gl_iterate(target, cfg, iterations, seed)
     peak = np.abs(x).max()

@@ -120,11 +120,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """
     if x.data.ndim not in (2, 3):
         raise ShapeError("layer_norm expects a 2-D or 3-D tensor")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    # np.mean and np.var's arithmetic, with the centred rows formed only once
+    n = x.data.shape[-1]
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + eps)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
     lead = tuple(range(x.data.ndim - 1))
 
     def backward(g):
@@ -157,7 +159,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, kernel: int = 3) -> Te
     padded[..., half:half + t, :] = x.data
     cols = np.concatenate([padded[..., k:k + t, :] for k in range(kernel)], axis=-1)
     out = cols @ w.data
-    if b is not None:
+    if b is not None and np.result_type(out, b.data) == out.dtype:
+        out += b.data
+    elif b is not None:
         out = out + b.data
 
     def backward(g):

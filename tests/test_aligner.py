@@ -93,6 +93,42 @@ def test_mas_shift_invariance(p, extra, seed, shift):
     np.testing.assert_array_equal(base.assignment, shifted.assignment)
 
 
+def mas_reference(log_prior):
+    # phoneme-major DP with a concatenated move column per frame: the
+    # frame-major table must pick the same path from the same sums
+    n_p, n_f = log_prior.shape
+    q = np.full((n_p, n_f), -np.inf)
+    q[0, 0] = log_prior[0, 0]
+    for f in range(1, n_f):
+        stay = q[:, f - 1]
+        move = np.concatenate(([-np.inf], q[:-1, f - 1]))
+        q[:, f] = log_prior[:, f] + np.maximum(stay, move)
+    assignment = np.empty(n_f, dtype=np.int64)
+    p = n_p - 1
+    assignment[n_f - 1] = p
+    for f in range(n_f - 1, 0, -1):
+        stay = q[p, f - 1]
+        move = q[p - 1, f - 1] if p > 0 else -np.inf
+        if move >= stay:
+            p -= 1
+        assignment[f - 1] = p
+    return assignment, q[n_p - 1, n_f - 1]
+
+
+@given(st.integers(1, 40), st.integers(0, 260), st.booleans(), st.integers(0, 2**31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_mas_bit_identical_to_phoneme_major_dp(p, extra, ties, seed):
+    rng = np.random.default_rng(seed)
+    shape = (p, p + extra)
+    log_prior = rng.integers(-2, 1, size=shape).astype(float) if ties else rng.standard_normal(shape)
+    want, dp_score = mas_reference(log_prior)
+    got = aligner.mas(log_prior)
+    assert got.assignment.tobytes() == want.tobytes()
+    assert got.durations.tobytes() == np.bincount(want, minlength=p).astype(np.int64).tobytes()
+    # the path score adds the same terms in the same frame order as the table
+    assert got.log_likelihood == dp_score
+
+
 def test_gaussian_log_prior_zero_at_match():
     mu = np.array([[1.0, 2.0], [3.0, 4.0]])
     target = np.array([[1.0, 2.0], [0.0, 0.0]])

@@ -345,7 +345,7 @@ def plain_griffin_lim(target, cfg, iterations, seed):
     phase = np.exp(2j * np.pi * rng.random(target.shape))
     x = audio._istft(target * phase, cfg, win, norm)
     for _ in range(iterations - 1):
-        spec = audio._stft_complex(x, cfg, win)[:n_frames]
+        spec = audio._stft_complex(x, cfg)[:n_frames]
         phase = spec / np.maximum(np.abs(spec), 1e-12)
         x = audio._istft(target * phase, cfg, win, norm)
     return x
@@ -366,6 +366,65 @@ def test_fast_griffin_lim_beats_plain_at_twice_the_iterations(seconds):
     fast = spectral_convergence(audio._gl_iterate(target, CFG, default, 0), target, CFG)
     plain = spectral_convergence(plain_griffin_lim(target, CFG, 32, 0), target, CFG)
     assert fast <= plain
+
+
+def stft_reference(samples, cfg, win):
+    # the allocating STFT the Griffin-Lim buffers must reproduce
+    n_frames = audio.frame_count(samples.size, cfg.hop_length)
+    if samples.size < cfg.n_fft:
+        samples = np.pad(samples, (0, cfg.n_fft - samples.size))
+    half = cfg.n_fft // 2
+    padded = np.pad(samples, (half, cfg.n_fft - half), mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[::cfg.hop_length][:n_frames]
+    return np.fft.rfft(frames * win[None, :], axis=1)
+
+
+def istft_reference(spec, cfg, win, norm):
+    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1) * win[None, :]
+    out = audio._overlap_add(frames, cfg.hop_length) / norm
+    half = cfg.n_fft // 2
+    return out[half:max(out.size - half, half + cfg.hop_length)]
+
+
+def gl_iterate_reference(target, cfg, iterations, seed):
+    # fast Griffin-Lim written with a fresh array for every intermediate
+    n_frames = target.shape[0]
+    win = audio._window(cfg)
+    norm = audio._istft_norm(n_frames, win, cfg)
+    rng = np.random.default_rng(seed)
+    spec = target * np.exp(2j * np.pi * rng.random(target.shape))
+    x = istft_reference(spec, cfg, win, norm)
+    prev = np.zeros_like(spec)
+    for _ in range(iterations - 1):
+        proj = stft_reference(x, cfg, win)[:n_frames]
+        np.subtract(proj, prev, out=spec)
+        spec *= audio.FGLA_MOMENTUM
+        spec += proj
+        prev = proj
+        spec *= target / np.maximum(np.abs(spec), 1e-12)
+        x = istft_reference(spec, cfg, win, norm)
+    return x
+
+
+@pytest.mark.parametrize("hop", [256, 512])
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 5, 9, 189])
+def test_gl_iterate_bit_identical_to_allocating_loop(hop, n_frames):
+    cfg = audio.AnalysisConfig(hop_length=hop)
+    target = np.abs(np.random.default_rng(hop + n_frames).standard_normal((n_frames, 513)))
+    for iterations in (1, 2, 16):
+        got = audio._gl_iterate(target, cfg, iterations, seed=n_frames)
+        want = gl_iterate_reference(target, cfg, iterations, seed=n_frames)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field, mel", [
+    ("sample_rate", audio.MelSpectrogram(np.zeros((20, 80)), 16000, 512, 80)),
+    ("hop_length", audio.MelSpectrogram(np.zeros((20, 80)), CFG.sample_rate, 512, 80)),
+    ("n_mels", audio.MelSpectrogram(np.zeros((20, 40)), CFG.sample_rate, CFG.hop_length, 40)),
+])
+def test_griffin_lim_rejects_a_mel_of_another_config(field, mel):
+    with pytest.raises(audio.ConfigMismatchError, match=field):
+        audio.griffin_lim(mel, CFG, iterations=1)
 
 
 def test_mel_basis_is_one_read_only_pinv_per_config():

@@ -84,6 +84,36 @@ def test_layer_norm_constant_row():
     np.testing.assert_allclose(out.data, np.zeros((1, 4)), atol=1e-9)
 
 
+def layer_norm_reference(x, gain, bias, eps=1e-5):
+    # the np.mean / np.var formula the one-pass statistics must reproduce
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps))
+    return (xhat * gain + bias).astype(x.dtype, copy=False)
+
+
+@given(st.lists(st.integers(1, 40), min_size=2, max_size=3), st.sampled_from([np.float32, np.float64]),
+       st.floats(1e-3, 1e3), st.floats(-100.0, 100.0), st.integers(0, 2**31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_layer_norm_bit_identical_to_mean_var_formula(shape, dtype, scale, offset, seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal(shape) * scale + offset).astype(dtype)
+    gain, bias = rng.standard_normal((2, shape[-1])).astype(dtype)
+    with nc.no_grad():
+        got = nc.layer_norm(nc.Tensor(x), nc.Tensor(gain), nc.Tensor(bias)).data
+    want = layer_norm_reference(x, gain, bias)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_conv1d_bias_keeps_the_promoted_dtype():
+    # a float64 bias on a float32 product must promote, not round into float32
+    x = nc.Tensor(np.ones((4, 2), dtype=np.float32))
+    w = nc.Tensor(np.ones((6, 3), dtype=np.float32))
+    b = nc.Tensor(np.full(3, 1e-9))
+    with nc.no_grad():
+        out = nc.conv1d(x, w, b, kernel=3).data
+    assert out.dtype == np.float64 and np.all(out - np.round(out) != 0.0)
+
+
 def test_conv1d_identity():
     x = t(np.random.default_rng(1).standard_normal((5, 3)))
     w = t(np.eye(3))
