@@ -18,6 +18,9 @@ from typing import Sequence
 import numpy as np
 
 LOG_FLOOR = 1e-5
+# the largest log-magnitude Griffin-Lim inverts: far above any mel of audio
+# in [-1, 1], and far below where its float32 passes overflow (near 88)
+LOG_CEILING = 20.0
 
 # momentum alpha of the fast Griffin-Lim algorithm (Perraudin, Balazs &
 # Soendergaard, "A fast Griffin-Lim algorithm", WASPAA 2013)
@@ -132,6 +135,12 @@ def load_wav(path) -> Waveform:
 
 
 def write_wav(path, w: Waveform) -> None:
+    """Write ``w`` as 16-bit PCM mono, clipped to [-1, 1]; refuses NaN and inf."""
+    finite = np.isfinite(w.samples)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"{path}: sample {bad} of {w.samples.size} is not finite; "
+                         "refusing to write it as 16-bit PCM")
     quant = np.rint(np.clip(w.samples, -1.0, 1.0) * 32768.0)
     quant = np.clip(quant, -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as out:
@@ -187,8 +196,11 @@ def frame_count(n_samples: int, hop_length: int) -> int:
 
 
 def _frames(samples: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
-    """The centered, reflect-padded analysis frames: a read-only strided view."""
-    samples = np.asarray(samples, dtype=np.float64)
+    """The centered, reflect-padded analysis frames: a read-only strided view.
+
+    The frames keep the float dtype of ``samples``.
+    """
+    samples = np.asarray(samples)
     n_frames = frame_count(samples.size, cfg.hop_length)
     if samples.size < cfg.n_fft:  # reflect padding needs a full window
         samples = np.pad(samples, (0, cfg.n_fft - samples.size))
@@ -219,10 +231,11 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     later frames reach it through earlier tap blocks; running the blocks
     from last to first therefore adds each sample's frames in increasing
     frame order, the order of a per-frame loop, and gives its exact sums.
+    The signal has the dtype of ``frames``.
     """
     n_frames, n = frames.shape
     blocks = -(-n // hop)  # ceil
-    out = np.zeros((n_frames - 1 + blocks, hop))
+    out = np.zeros((n_frames - 1 + blocks, hop), dtype=frames.dtype)
     for r in reversed(range(blocks)):
         lo = r * hop
         width = min(hop, n - lo)
@@ -242,8 +255,14 @@ def _istft(spec: np.ndarray, cfg: AnalysisConfig, win: np.ndarray,
 
     ``win`` is ``_window(cfg)`` and ``norm`` is ``_istft_norm`` for this
     frame count; Griffin-Lim builds both once for all of its iterations.
+    A complex64 ``spec`` gives float32 audio, a complex128 one float64.
     """
-    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1)
+    return _istft_frames(np.fft.irfft(spec, n=cfg.n_fft, axis=1), cfg, win, norm)
+
+
+def _istft_frames(frames: np.ndarray, cfg: AnalysisConfig, win: np.ndarray,
+                  norm: np.ndarray) -> np.ndarray:
+    """``_istft`` from the inverse-FFT frames on; windows ``frames`` in place."""
     frames *= win
     out = _overlap_add(frames, cfg.hop_length)
     out /= norm
@@ -383,27 +402,48 @@ def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int, seed: 
     Each pass takes ``proj``, the STFT of the current signal, extrapolates
     it to ``proj + FGLA_MOMENTUM * (proj - prev)`` (``prev`` is the last
     pass's ``proj``, zero on the first) and sets that spectrum's magnitude to
-    ``target`` before inverting it.  Besides ``prev``, the passes share
-    ``spec`` and the frame and magnitude buffers, all updated in place.
+    ``target`` before inverting it.
+
+    The passes run in float32 and complex64, the precision of the model's
+    mel: ``target``, the window and the normaliser are cast once per call,
+    and the result is float32.  The initial phase angles are drawn in
+    float64 and rounded once.  Every FFT writes into a buffer allocated
+    here: ``rfft`` into ``proj``, which swaps with ``prev`` each pass, and
+    ``irfft`` into the one frame buffer.
+
+    Both FFTs are orthonormal, so ``target`` is scaled by ``1/sqrt(n_fft)``.
+    With the default norm, ``rfft`` passes numpy a Python int scale, which
+    selects its float64 loop: float32 frames would be cast up, transformed
+    in float64 and cast back down.
     """
     n_frames = target.shape[0]
-    win = _window(cfg)
-    norm = _istft_norm(n_frames, win, cfg)
-    rng = np.random.default_rng(seed)
-    spec = target * np.exp(2j * np.pi * rng.random(target.shape))
-    x = _istft(spec, cfg, win, norm)
+    win64 = _window(cfg)
+    win = win64.astype(np.float32)
+    norm = _istft_norm(n_frames, win64, cfg).astype(np.float32)
+    target = (target / math.sqrt(cfg.n_fft)).astype(np.float32)
+    frames = np.empty((n_frames, cfg.n_fft), dtype=np.float32)
+    mag = np.empty(target.shape, dtype=np.float32)
+    spec = np.empty(target.shape, dtype=np.complex64)
+    proj = np.empty_like(spec)
     prev = np.zeros_like(spec)
-    frames = np.empty((n_frames, cfg.n_fft))
-    mag = np.empty(target.shape)
+    rng = np.random.default_rng(seed)
+    angle = np.multiply(rng.random(target.shape), 2.0 * np.pi, out=mag)
+    np.cos(angle, out=spec.real)
+    np.sin(angle, out=spec.imag)
+    spec *= target
+    np.fft.irfft(spec, n=cfg.n_fft, axis=1, norm="ortho", out=frames)
+    x = _istft_frames(frames, cfg, win, norm)
     for _ in range(iterations - 1):
-        proj = np.fft.rfft(np.multiply(_frames(x, cfg)[:n_frames], win, out=frames), axis=1)
+        np.multiply(_frames(x, cfg)[:n_frames], win, out=frames)
+        np.fft.rfft(frames, axis=1, norm="ortho", out=proj)
         np.subtract(proj, prev, out=spec)
         spec *= FGLA_MOMENTUM
         spec += proj
-        prev = proj
+        proj, prev = prev, proj
         np.maximum(np.abs(spec, out=mag), 1e-12, out=mag)
         spec *= np.divide(target, mag, out=mag)
-        x = _istft(spec, cfg, win, norm)
+        np.fft.irfft(spec, n=cfg.n_fft, axis=1, norm="ortho", out=frames)
+        x = _istft_frames(frames, cfg, win, norm)
     return x
 
 
@@ -413,6 +453,12 @@ def griffin_lim(m: MelSpectrogram, cfg: AnalysisConfig, iterations: int = 16,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     _check_mel_config(m, cfg)
+    ok = np.isfinite(m.values) & (m.values <= LOG_CEILING)
+    if not ok.all():
+        bad = int(np.argmin(ok.all(axis=1)))
+        value = m.values[bad][~ok[bad]][0]
+        raise ValueError(f"mel frame {bad} of {m.frames} holds {value}; Griffin-Lim needs "
+                         f"finite log-magnitudes no larger than {LOG_CEILING}")
     target = _mel_to_linear_magnitude(m, cfg)
     x = _gl_iterate(target, cfg, iterations, seed)
     peak = np.abs(x).max()

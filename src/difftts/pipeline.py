@@ -13,8 +13,8 @@ import numpy as np
 
 from . import aligner, checkpoint, diffusion, durpred, encoder, speaker
 from . import numcore as nc
-from .audio import (LOG_FLOOR, ConfigMismatchError, MelSpectrogram, MelStats, Waveform,
-                    broadcast_mean, griffin_lim, wav_to_mel)
+from .audio import (LOG_CEILING, LOG_FLOOR, ConfigMismatchError, MelSpectrogram, MelStats,
+                    Waveform, broadcast_mean, griffin_lim, wav_to_mel)
 from .config import Config, parse_config
 from .corpus import Utterance, require_reference_material, speaker_pools
 from .durpred import DurationVector
@@ -229,7 +229,7 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
         seed=[seed, _SAMPLE], cond_mel=c_mel)
     # a weakly trained score lets the reverse dynamics wander; clamp into the
     # valid log-magnitude range before inverting to audio
-    mel_values = np.clip(mel_values.astype(np.float64), np.log(LOG_FLOOR), 20.0)
+    mel_values = np.clip(mel_values.astype(np.float64), np.log(LOG_FLOOR), LOG_CEILING)
     mel = MelSpectrogram(mel_values, cfg.audio.sample_rate,
                          cfg.audio.hop_length, cfg.audio.n_mels)
     wave = griffin_lim(mel, cfg.audio, seed=seed)

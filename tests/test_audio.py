@@ -48,6 +48,16 @@ def test_load_wav_reads_header_rate(tmp_path):
     assert audio.load_wav(p).sample_rate == 16000
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_wav_refuses_non_finite_samples(tmp_path, bad):
+    samples = np.zeros(100)
+    samples[37] = bad
+    p = tmp_path / "nan.wav"
+    with pytest.raises(ValueError, match="sample 37 of 100"):
+        audio.write_wav(p, audio.Waveform(samples, 22050))
+    assert not p.exists()
+
+
 def test_load_wav_rejects_garbage(tmp_path):
     p = tmp_path / "bad.wav"
     p.write_bytes(b"not a riff file at all")
@@ -368,7 +378,7 @@ def test_fast_griffin_lim_beats_plain_at_twice_the_iterations(seconds):
     assert fast <= plain
 
 
-def stft_reference(samples, cfg, win):
+def stft_reference(samples, cfg, win, fft_norm="backward"):
     # the allocating STFT the Griffin-Lim buffers must reproduce
     n_frames = audio.frame_count(samples.size, cfg.hop_length)
     if samples.size < cfg.n_fft:
@@ -376,18 +386,19 @@ def stft_reference(samples, cfg, win):
     half = cfg.n_fft // 2
     padded = np.pad(samples, (half, cfg.n_fft - half), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[::cfg.hop_length][:n_frames]
-    return np.fft.rfft(frames * win[None, :], axis=1)
+    return np.fft.rfft(frames * win[None, :], axis=1, norm=fft_norm)
 
 
-def istft_reference(spec, cfg, win, norm):
-    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1) * win[None, :]
+def istft_reference(spec, cfg, win, norm, fft_norm="backward"):
+    frames = np.fft.irfft(spec, n=cfg.n_fft, axis=1, norm=fft_norm) * win[None, :]
     out = audio._overlap_add(frames, cfg.hop_length) / norm
     half = cfg.n_fft // 2
     return out[half:max(out.size - half, half + cfg.hop_length)]
 
 
-def gl_iterate_reference(target, cfg, iterations, seed):
-    # fast Griffin-Lim written with a fresh array for every intermediate
+def gl_iterate_float64(target, cfg, iterations, seed):
+    # fast Griffin-Lim in float64 and complex128, the precision it had
+    # before it ran at the model's float32
     n_frames = target.shape[0]
     win = audio._window(cfg)
     norm = audio._istft_norm(n_frames, win, cfg)
@@ -406,6 +417,29 @@ def gl_iterate_reference(target, cfg, iterations, seed):
     return x
 
 
+def gl_iterate_reference(target, cfg, iterations, seed):
+    # fast Griffin-Lim in float32 and complex64, written with a fresh array
+    # for every intermediate; its FFTs are orthonormal, so the target is
+    # scaled by 1/sqrt(n_fft)
+    n_frames = target.shape[0]
+    win = audio._window(cfg)
+    norm = audio._istft_norm(n_frames, win, cfg).astype(np.float32)
+    win = win.astype(np.float32)
+    target = (target / np.sqrt(cfg.n_fft)).astype(np.float32)
+    rng = np.random.default_rng(seed)
+    angle = (2 * np.pi * rng.random(target.shape)).astype(np.float32)
+    spec = target * (np.cos(angle) + 1j * np.sin(angle))
+    x = istft_reference(spec, cfg, win, norm, "ortho")
+    prev = np.zeros_like(spec)
+    for _ in range(iterations - 1):
+        proj = stft_reference(x, cfg, win, "ortho")[:n_frames]
+        spec = proj + audio.FGLA_MOMENTUM * (proj - prev)
+        prev = proj
+        spec = spec * (target / np.maximum(np.abs(spec), 1e-12))
+        x = istft_reference(spec, cfg, win, norm, "ortho")
+    return x
+
+
 @pytest.mark.parametrize("hop", [256, 512])
 @pytest.mark.parametrize("n_frames", [1, 2, 3, 5, 9, 189])
 def test_gl_iterate_bit_identical_to_allocating_loop(hop, n_frames):
@@ -414,7 +448,46 @@ def test_gl_iterate_bit_identical_to_allocating_loop(hop, n_frames):
     for iterations in (1, 2, 16):
         got = audio._gl_iterate(target, cfg, iterations, seed=n_frames)
         want = gl_iterate_reference(target, cfg, iterations, seed=n_frames)
+        assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
+
+
+def toy_target(seconds, cfg):
+    voice = toydata.default_voices(2)[1]
+    text = toydata.random_text(np.random.default_rng(seconds), seconds, voice.tempo)
+    w = audio.Waveform(toydata.render_text(voice, text, cfg.sample_rate), cfg.sample_rate)
+    return audio._mel_to_linear_magnitude(audio.wav_to_mel(w, cfg), cfg)
+
+
+@pytest.mark.parametrize("hop", [256, 512])
+@pytest.mark.parametrize("seconds", [2, 4, 6])
+def test_gl_iterate_float32_matches_float64_loop(hop, seconds):
+    cfg = audio.AnalysisConfig(hop_length=hop)
+    target = toy_target(seconds, cfg)
+    iterations = inspect.signature(audio.griffin_lim).parameters["iterations"].default
+    got = audio._gl_iterate(target, cfg, iterations, 0)
+    want = gl_iterate_float64(target, cfg, iterations, 0)
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    assert abs(spectral_convergence(got, target, cfg)
+               - spectral_convergence(want, target, cfg)) <= 1e-4
+    assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 85.0])
+def test_griffin_lim_rejects_a_non_finite_or_huge_mel_naming_the_frame(bad):
+    # 85 is finite, but its magnitudes overflow the float32 passes
+    values = np.zeros((10, 80))
+    values[6, 3] = bad
+    values[8, 0] = np.nan
+    m = audio.MelSpectrogram(values, CFG.sample_rate, CFG.hop_length, 80)
+    with pytest.raises(ValueError, match=f"mel frame 6 of 10 holds {bad}"):
+        audio.griffin_lim(m, CFG, iterations=2)
+
+
+def test_griffin_lim_accepts_the_ceiling():
+    m = audio.MelSpectrogram(np.full((10, 80), audio.LOG_CEILING), CFG.sample_rate,
+                             CFG.hop_length, 80)
+    assert np.isfinite(audio.griffin_lim(m, CFG).samples).all()
 
 
 @pytest.mark.parametrize("field, mel", [
@@ -445,7 +518,7 @@ def test_mel_basis_is_one_read_only_pinv_per_config():
 def overlap_add_loop(frames, hop):
     # the reference: one frame at a time, in frame order
     n_frames, n = frames.shape
-    out = np.zeros((n_frames - 1) * hop + n)
+    out = np.zeros((n_frames - 1) * hop + n, dtype=frames.dtype)
     for i in range(n_frames):
         out[i * hop:i * hop + n] += frames[i]
     return out
@@ -456,6 +529,10 @@ def overlap_add_loop(frames, hop):
 def test_overlap_add_matches_per_frame_loop(hop, n_frames):
     frames = np.random.default_rng(hop + n_frames).standard_normal((n_frames, 1024))
     assert np.array_equal(audio._overlap_add(frames, hop), overlap_add_loop(frames, hop))
+    frames32 = frames.astype(np.float32)
+    got = audio._overlap_add(frames32, hop)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, overlap_add_loop(frames32, hop))
 
 
 @pytest.mark.parametrize("hop", [256, 300, 512, 1024])
@@ -469,3 +546,14 @@ def test_istft_matches_per_frame_reference(hop):
     want = (overlap_add_loop(frames, hop) / np.maximum(norm, 1e-10))[512:-512]
     got = audio._istft(spec, cfg, win, audio._istft_norm(9, win, cfg))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("real, cplx", [(np.float64, np.complex128), (np.float32, np.complex64)])
+def test_frames_and_istft_keep_the_input_precision(real, cplx):
+    rng = np.random.default_rng(5)
+    assert audio._frames(rng.standard_normal(3000).astype(real), CFG).dtype == real
+    spec = (rng.standard_normal((9, 513)) + 1j * rng.standard_normal((9, 513))).astype(cplx)
+    win = audio._window(CFG).astype(real)
+    norm = audio._istft_norm(9, win, CFG)
+    assert norm.dtype == real
+    assert audio._istft(spec, CFG, win, norm).dtype == real
