@@ -174,6 +174,16 @@ def guided_score(s_cond, s_uncond, gamma: float):
     return s_cond + gamma * (s_cond - s_uncond)
 
 
+def _noise_prediction(store: nc.ParamStore, x_t: np.ndarray, t: float,
+                      cond: ScoreCondition, cfg: Config) -> np.ndarray:
+    """``score_net`` off the tape, its result checked once for finiteness."""
+    def forward():
+        with nc.no_grad():
+            return nc.require_finite(score_net(store, x_t, t, cond, cfg), "score_net output")
+
+    return nc.run_checked(forward).data
+
+
 def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
               cond_c: ScoreCondition, cond_mel: ScoreCondition | None,
               gamma: float, schedule: NoiseSchedule, cfg: Config) -> np.ndarray:
@@ -185,9 +195,7 @@ def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
     conditions must carry the same speaker vector.
     """
     if gamma == 0.0:
-        with nc.no_grad():
-            eps_c = score_net(store, x_t, t, cond_c, cfg).data
-        return score_from_noise(eps_c, t, schedule)
+        return score_from_noise(_noise_prediction(store, x_t, t, cond_c, cfg), t, schedule)
     if cond_mel is None:
         raise ValueError(f"guidance at gamma={gamma} needs the unconditional mel condition")
     if cond_mel.mel.shape != cond_c.mel.shape:
@@ -196,8 +204,7 @@ def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
                           _tensor(store, cond_mel.speaker).data):
         raise ValueError("guidance holds the speaker fixed: both conditions need the same speaker")
     mels = np.stack([_tensor(store, c.mel).data for c in (cond_c, cond_mel)])
-    with nc.no_grad():
-        eps = score_net(store, x_t, t, replace(cond_c, mel=mels), cfg).data
+    eps = _noise_prediction(store, x_t, t, replace(cond_c, mel=mels), cfg)
     s_c, s_u = score_from_noise(eps, t, schedule)
     return guided_score(s_c, s_u, gamma)
 
@@ -223,7 +230,11 @@ def reverse_sample(store: nc.ParamStore, mu: np.ndarray, speaker: np.ndarray,
     h = (1.0 - schedule.t_min) / guidance.steps
     for k in range(guidance.steps):
         t = 1.0 - k * h
-        s = cfg_score(store, x, t, cond_c, cond_u, guidance.gamma, schedule, cfg)
+        try:
+            s = cfg_score(store, x, t, cond_c, cond_u, guidance.gamma, schedule, cfg)
+        except nc.NumericError as exc:
+            raise nc.NumericError(f"sampler step {k + 1} of {guidance.steps} "
+                                  f"(t={t:.4g}): {exc}") from exc
         drift = (0.5 * (mu - x) - s) * schedule.beta(t)
         x = (x - h * drift).astype(store.dtype)
     return x

@@ -148,12 +148,16 @@ def predict_log_durations(store: nc.ParamStore, attended: nc.Tensor, text_emb: n
 def durations_to_frames(log_d: np.ndarray) -> DurationVector:
     """Frame counts: max(1, round(exp(log_d))), rounding half away from zero.
 
-    Raises DurationLimitError, naming the first token that takes the running
-    total past MAX_FRAMES, when the counts add up to more than that.
+    Raises ValueError naming the first token whose log-duration is not
+    finite, and DurationLimitError, naming the first token that takes the
+    running total past MAX_FRAMES, when the counts add up to more than that.
     """
     log_d = np.asarray(log_d, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(log_d)):
-        raise ValueError("log-durations must be finite")
+    bad = np.flatnonzero(~np.isfinite(log_d))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"token {i} of {log_d.size} has log-duration {log_d[i]}; "
+                         "log-durations must be finite")
     with np.errstate(over="ignore"):
         raw = np.exp(log_d)
     rounded = np.maximum(np.floor(raw + 0.5), 1.0)  # raw > 0, so half away from zero == half up

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _node, concat_cols, slice_cols
+from .tensor import NumericError, ShapeError, Tensor, _check_op, _node, concat_cols, slice_cols
 
 
 class Parameter:
@@ -73,6 +73,13 @@ class Adam:
         self.v = {name: np.zeros_like(p.value) for name, p in store.items()}
 
     def step(self) -> None:
+        """One update; a non-finite gradient raises NumericError naming its
+        parameter before any parameter or moment changes."""
+        for name, p in self.store.items():
+            g = p.tensor.grad
+            if g is not None and not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient for parameter {name} "
+                                   f"in Adam update {self.t + 1}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -103,6 +110,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with max-subtraction."""
     if x.data.ndim != 2:
         raise ShapeError("softmax_rows expects a 2-D tensor")
+    _check_op("softmax_rows", "input", x.data, (x,))  # a -inf entry gets weight 0
     e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
     out = e / e.sum(axis=1, keepdims=True)
 

@@ -13,6 +13,13 @@ The row ops (``slice_rows``, ``repeat_rows``, ``avg_pool_rows``) and
 ``concat_cols`` also take a leading batch axis (B x T x C), so B inputs of
 one length can share a pass; rows are axis -2 and columns axis -1.  Each
 batch slice gets exactly the arithmetic the 2-D op gives it.
+
+Finiteness is checked where values enter the tape (leaves built from outside
+data) and, by callers through ``require_finite``, where results leave it.
+Node outputs are not checked, except by ``log`` and ``exp``; ``tanh``,
+``exp``, ``relu`` and ``softmax_rows`` check their input, which they could
+map to a finite output.  ``run_checked`` replays a forward that failed a
+check with every op's output checked, to name the op at fault.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 # When False, ops do not record tape nodes (inference / sampling).
 _grad_enabled = True
 
+# When True, every op checks its output (``run_checked``'s replay).
+_check_ops = False
+
 
 @contextlib.contextmanager
 def no_grad():
@@ -40,18 +50,60 @@ def no_grad():
         _grad_enabled = prev
 
 
+@contextlib.contextmanager
+def _checking_ops():
+    """Check every op's output for finiteness inside the block."""
+    global _check_ops
+    prev, _check_ops = _check_ops, True
+    try:
+        yield
+    finally:
+        _check_ops = prev
+
+
 class ShapeError(ValueError):
     """Operand shapes incompatible with the requested op."""
 
 
 class NumericError(ArithmeticError):
-    """NaN or Inf appeared in a tensor."""
+    """NaN or Inf appeared in a tensor.
+
+    After ``run_checked``'s replay the message names the first op that made
+    a non-finite value and its input shapes, marking non-finite inputs.
+    """
 
 
 def _check_finite(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericError("non-finite values in tensor")
     return arr
+
+
+def _check_op(op: str, what: str, data: np.ndarray, inputs: Sequence["Tensor"]) -> None:
+    if not np.isfinite(data).all():
+        shapes = ", ".join(f"{p.shape}" + ("" if np.isfinite(p.data).all() else " [non-finite]")
+                           for p in inputs)
+        raise NumericError(f"{op}: non-finite {what}; input shapes {shapes}")
+
+
+def require_finite(t: "Tensor", what: str) -> "Tensor":
+    """Return ``t``; raise NumericError naming ``what`` if it holds NaN or Inf."""
+    if not np.isfinite(t.data).all():
+        raise NumericError(f"non-finite {what}")
+    return t
+
+
+def run_checked(forward: Callable[[], object]):
+    """Return ``forward()``; if it raises NumericError, rerun the
+    deterministic ``forward`` with every op's output checked and raise the
+    error naming the first op at fault (or the first error)."""
+    try:
+        return forward()
+    except NumericError as first:
+        error = first
+    with no_grad(), _checking_ops():
+        forward()
+    raise error
 
 
 def _coerce(data) -> np.ndarray:
@@ -67,7 +119,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _check_finite(_coerce(data))
+        self._init(_check_finite(_coerce(data)), requires_grad)
+
+    def _init(self, data: np.ndarray, requires_grad: bool) -> None:
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -180,7 +235,12 @@ def _wrap(x, like: Tensor) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(data)
+    """An op's output, checked only in a replay; ``backward``'s enclosing function names the op."""
+    data = _coerce(data)
+    if _check_ops:
+        _check_op(backward.__qualname__.split(".")[0], "output", data, parents)
+    out = Tensor.__new__(Tensor)
+    out._init(data, False)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -269,7 +329,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
+    _check_op("exp", "input", a.data, (a,))  # exp(-inf) is 0
     data = np.exp(a.data)
+    _check_op("exp", "output", data, (a,))
 
     def backward(g):
         a._accumulate(g * data)
@@ -280,6 +342,7 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(a.data)
+    _check_op("log", "output", data, (a,))
 
     def backward(g):
         a._accumulate(g / a.data)
@@ -288,6 +351,7 @@ def log(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
+    _check_op("tanh", "input", a.data, (a,))  # tanh(+-inf) is +-1
     data = np.tanh(a.data)
 
     def backward(g):
@@ -297,6 +361,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    _check_op("relu", "input", a.data, (a,))  # relu(-inf) is 0
     data = np.maximum(a.data, 0.0)
 
     def backward(g):

@@ -69,7 +69,8 @@ def _utterance_losses(model: TTSModel, utt: Utterance, seq: PhonemeSequence,
     store = model.store
     enc = encoder.encode(store, seq, cfg)
     mel64 = utt.mel.values
-    log_prior = aligner.gaussian_log_prior(enc.mu.data.astype(np.float64), mel64)
+    mu = nc.require_finite(enc.mu, "encoder mel means").data
+    log_prior = aligner.gaussian_log_prior(mu.astype(np.float64), mel64)
     align = aligner.mas(log_prior)
     frame_mu = encoder.expand_mu(enc, align.durations)
     l_enc = encoder.encoder_prior_loss(frame_mu, mel64.astype(store.dtype))
@@ -82,6 +83,25 @@ def _utterance_losses(model: TTSModel, utt: Utterance, seq: PhonemeSequence,
     l_diff = diffusion.diffusion_loss(store, mel64.astype(store.dtype), frame_mu, e_s,
                                       rng, cfg.schedule, cfg)
     return l_enc, l_dur, l_diff
+
+
+def _step_loss(model: TTSModel, step: int, batch: np.ndarray, utterances: list[Utterance],
+               seqs: list[PhonemeSequence], pools: dict[str, dict[str, MelSpectrogram]],
+               sums: np.ndarray) -> nc.Tensor:
+    """The step's mean batch loss, from the step's own generator so that a
+    second call replays the first; adds each utterance's loss terms to ``sums``."""
+    rng = np.random.default_rng([model.cfg.train.seed, _STEP, step])
+    total = None
+    for idx in batch:
+        utt = utterances[idx]
+        try:
+            l_enc, l_dur, l_diff = _utterance_losses(model, utt, seqs[idx], pools[utt.speaker], rng)
+            utt_total = l_enc + l_dur + l_diff
+            total = nc.require_finite(utt_total if total is None else total + utt_total, "loss")
+        except nc.NumericError as exc:
+            raise nc.NumericError(f"step {step}, utterance {utt.utterance_id}: {exc}") from exc
+        sums += (l_enc.item(), l_dur.item(), l_diff.item())
+    return total * (1.0 / len(batch))
 
 
 def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
@@ -104,15 +124,8 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             trainer.step += 1
-            rng = np.random.default_rng([cfg.train.seed, _STEP, trainer.step])
-            total = None
-            for idx in batch:
-                l_enc, l_dur, l_diff = _utterance_losses(
-                    model, utterances[idx], seqs[idx], pools[utterances[idx].speaker], rng)
-                sums += (l_enc.item(), l_dur.item(), l_diff.item())
-                utt_total = l_enc + l_dur + l_diff
-                total = utt_total if total is None else total + utt_total
-            loss = total * (1.0 / len(batch))
+            loss = nc.run_checked(
+                lambda: _step_loss(model, trainer.step, batch, utterances, seqs, pools, sums))
             model.store.zero_grads()
             loss.backward()
             trainer.opt.step()
@@ -210,17 +223,23 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
     seq = model.encode_text(text)
     guide = replace(cfg.guidance, gamma=gamma, steps=steps)
 
-    with nc.no_grad():
-        enc = encoder.encode(store, seq, cfg)
-        crop_rng = np.random.default_rng([seed, _CROP])
-        window = durpred.crop_window(ref_mel.values, cfg.ref_frames, crop_rng)
-        ref = durpred.ReferenceMel(
-            MelSpectrogram(window, ref_mel.sample_rate, ref_mel.hop_length, ref_mel.n_mels),
-            "reference", "reference")
-        att = durpred.cross_attend(store, enc.embeddings, ref, cfg)
-        log_d = durpred.predict_log_durations(store, att, enc.embeddings, cfg)
-        durations = durpred.durations_to_frames(log_d.data)
-        frame_mu = encoder.expand_mu(enc, durations.frames).data
+    window = durpred.crop_window(ref_mel.values, cfg.ref_frames,
+                                 np.random.default_rng([seed, _CROP]))
+    ref = durpred.ReferenceMel(
+        MelSpectrogram(window, ref_mel.sample_rate, ref_mel.hop_length, ref_mel.n_mels),
+        "reference", "reference")
+
+    def front_end():
+        with nc.no_grad():
+            enc = encoder.encode(store, seq, cfg)
+            att = durpred.cross_attend(store, enc.embeddings, ref, cfg)
+            log_d = nc.require_finite(durpred.predict_log_durations(store, att, enc.embeddings, cfg),
+                                      "log-durations")
+            durations = durpred.durations_to_frames(log_d.data)
+            frame_mu = nc.require_finite(encoder.expand_mu(enc, durations.frames), "frame means")
+        return durations, frame_mu.data
+
+    durations, frame_mu = nc.run_checked(front_end)
     e_s = speaker.embed_baseline(store, ref_mel)
     c_mel = broadcast_mean(stats, frame_mu.shape[0], cfg.audio.sample_rate,
                            cfg.audio.hop_length).values

@@ -1,9 +1,8 @@
-"""Speaker embeddings: a stats-pooling baseline embedder plus ingestion of
-externally computed embeddings, and the SIM-O cosine score."""
+"""Speaker embeddings: a stats-pooling baseline embedder and the SIM-O
+cosine score."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,11 +10,9 @@ import numpy as np
 from . import numcore as nc
 from .audio import MelSpectrogram
 
-SPKEMB_MAGIC = b"SPKEMB01"
-
 
 class EmbeddingFormatError(ValueError):
-    """Unreadable or degenerate embedding data."""
+    """A degenerate embedding vector: non-finite or not of unit norm."""
 
 
 @dataclass
@@ -57,38 +54,12 @@ def embed_tensor(store: nc.ParamStore, mel: MelSpectrogram) -> nc.Tensor:
 
 def embed_baseline(store: nc.ParamStore, mel: MelSpectrogram) -> SpeakerEmbedding:
     """Stats pooling -> learned linear map -> unit normalization."""
-    with nc.no_grad():
-        vec = embed_tensor(store, mel).data
+    def forward():
+        with nc.no_grad():
+            return nc.require_finite(embed_tensor(store, mel), "speaker embedding")
+
+    vec = nc.run_checked(forward).data
     return SpeakerEmbedding(vec.astype(np.float64))
-
-
-def save_embedding(path, emb: SpeakerEmbedding) -> None:
-    with open(path, "wb") as f:
-        f.write(SPKEMB_MAGIC)
-        f.write(struct.pack("<I", emb.dim))
-        f.write(emb.vector.astype("<f4").tobytes())
-
-
-def load_external_embedding(path) -> SpeakerEmbedding:
-    """Read a stored vector and renormalize it."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as exc:
-        raise EmbeddingFormatError(f"cannot read {path}: {exc}") from exc
-    if blob[:8] != SPKEMB_MAGIC or len(blob) < 12:
-        raise EmbeddingFormatError(f"{path}: not a speaker embedding file")
-    (dim,) = struct.unpack_from("<I", blob, 8)
-    if len(blob) != 12 + 4 * dim:
-        raise EmbeddingFormatError(f"{path}: SPKEMB with {dim} values must be "
-                                   f"{12 + 4 * dim} bytes, got {len(blob)}")
-    values = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise EmbeddingFormatError(f"{path}: non-finite values")
-    norm = np.linalg.norm(values)
-    if norm == 0.0:
-        raise EmbeddingFormatError(f"{path}: zero vector")
-    return SpeakerEmbedding(values / norm)
 
 
 def sim_o(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:

@@ -175,6 +175,13 @@ def test_durations_over_the_frame_limit_are_refused(log_d):
         durpred.durations_to_frames(np.array(log_d))
 
 
+@pytest.mark.parametrize("log_d, bad, shown", [([np.nan], 0, "nan"), ([0.0, 1.0, np.inf, np.nan], 2, "inf"),
+                                                ([0.5, -np.inf], 1, "-inf")])
+def test_non_finite_log_duration_names_its_token(log_d, bad, shown):
+    with pytest.raises(ValueError, match=f"token {bad} of {len(log_d)} has log-duration {shown};"):
+        durpred.durations_to_frames(np.array(log_d))
+
+
 def test_durations_up_to_the_frame_limit_pass():
     log_d = np.log(np.array([durpred.MAX_FRAMES - 1, 1.0]))
     assert durpred.durations_to_frames(log_d).total() == durpred.MAX_FRAMES

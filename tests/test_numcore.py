@@ -324,6 +324,32 @@ def test_non_finite_is_an_error():
         nc.log(t([[0.0]]))  # log 0 -> -inf
 
 
+@pytest.mark.parametrize("op, name", [(nc.tanh, "tanh"), (nc.exp, "exp"), (nc.relu, "relu"),
+                                      (nc.softmax_rows, "softmax_rows")])
+def test_saturating_ops_refuse_a_non_finite_input(op, name):
+    # node outputs are not checked, so these ops check the input they could
+    # otherwise map to a finite output: tanh(-inf) = -1, exp(-inf) = relu(-inf) = 0,
+    # and a -inf softmax entry gets weight 0
+    with np.errstate(over="ignore"):
+        x = nc.Tensor(np.array([[np.finfo(np.float32).max, 1.0]], dtype=np.float32)) * -10.0
+    assert np.isneginf(x.data[0, 0])
+    with pytest.raises(nc.NumericError, match=rf"^{name}: non-finite input; input shapes \(1, 2\) \[non-finite\]$"):
+        op(x)
+
+
+def test_replay_names_the_first_op_with_a_non_finite_output():
+    w = nc.Tensor(np.ones((3, 2)), requires_grad=True)
+    w.data[1, 0] = np.nan
+    x = nc.Tensor(np.ones((4, 3)))
+    forward = lambda: nc.require_finite(nc.tanh(x @ w) * 2.0, "result")
+    with pytest.raises(nc.NumericError, match=r"^tanh: non-finite input"):
+        forward()
+    with pytest.raises(nc.NumericError,
+                       match=r"^matmul: non-finite output; input shapes \(4, 3\), \(3, 2\) \[non-finite\]$"):
+        nc.run_checked(forward)
+    assert nc.run_checked(lambda: nc.require_finite(x * 2.0, "result")).data.sum() == 24.0
+
+
 def test_ops_deterministic():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((6, 6))

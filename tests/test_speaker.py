@@ -1,9 +1,5 @@
-import struct
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from difftts import numcore as nc
 from difftts import speaker
@@ -25,13 +21,6 @@ def unit(values):
     """L2-normalize a raw vector into a SpeakerEmbedding."""
     values = np.asarray(values, dtype=np.float64)
     return speaker.SpeakerEmbedding(values / np.linalg.norm(values))
-
-
-def raw_file(path, values):
-    """An SPKEMB file holding values as stored, without normalizing them."""
-    values = np.asarray(values, dtype="<f4")
-    path.write_bytes(speaker.SPKEMB_MAGIC + struct.pack("<I", values.size) + values.tobytes())
-    return path
 
 
 def test_embedding_is_unit_norm():
@@ -63,79 +52,9 @@ def test_same_speaker_windows_closer_than_cross_speaker():
     assert speaker.sim_o(e_a1, e_a2) > speaker.sim_o(e_a1, e_b)
 
 
-def test_external_embedding_normalized(tmp_path):
-    back = speaker.load_external_embedding(raw_file(tmp_path / "e.bin", [3.0, 4.0]))
-    np.testing.assert_allclose(back.vector, [0.6, 0.8], atol=1e-7)
-
-
-def test_external_embedding_unit_vector_unchanged(tmp_path):
-    p = tmp_path / "e.bin"
-    v = np.array([0.6, 0.8])
-    speaker.save_embedding(p, speaker.SpeakerEmbedding(v))
-    back = speaker.load_external_embedding(p)
-    np.testing.assert_allclose(back.vector, v, atol=1e-7)
-
-
-def test_zero_vector_rejected(tmp_path):
-    with pytest.raises(speaker.EmbeddingFormatError, match="zero vector"):
-        speaker.load_external_embedding(raw_file(tmp_path / "zero.bin", np.zeros(4)))
-
-
-def test_garbage_file_rejected(tmp_path):
-    p = tmp_path / "bad.bin"
-    p.write_bytes(b"whatever")
-    with pytest.raises(speaker.EmbeddingFormatError):
-        speaker.load_external_embedding(p)
-
-
-@pytest.mark.parametrize("extra", [b"\0", bytes(4), bytes(9)])
-def test_trailing_bytes_rejected(tmp_path, extra):
-    p = raw_file(tmp_path / "long.bin", [3.0, 4.0])
-    p.write_bytes(p.read_bytes() + extra)
-    with pytest.raises(speaker.EmbeddingFormatError, match="must be 20 bytes"):
-        speaker.load_external_embedding(p)
-
-
-def test_unreadable_file_names_the_file(tmp_path):
-    with pytest.raises(speaker.EmbeddingFormatError, match="absent.bin"):
-        speaker.load_external_embedding(tmp_path / "absent.bin")
-
-
-@pytest.fixture(scope="module")
-def emb_blob(tmp_path_factory):
-    return raw_file(tmp_path_factory.mktemp("spkemb") / "e.bin", [3.0, -4.0, 0.5]).read_bytes()
-
-
-def _load_emb_bytes(path, blob):
-    path.write_bytes(blob)
-    return speaker.load_external_embedding(path)
-
-
-def test_every_truncation_rejected(emb_blob, tmp_path):
-    p = tmp_path / "cut.bin"
-    for n in range(len(emb_blob)):
-        with pytest.raises(speaker.EmbeddingFormatError):
-            _load_emb_bytes(p, emb_blob[:n])
-
-
-@settings(max_examples=100, deadline=None)
-@given(extra=st.binary(min_size=1, max_size=16))
-def test_appended_bytes_rejected(emb_blob, tmp_path_factory, extra):
-    with pytest.raises(speaker.EmbeddingFormatError):
-        _load_emb_bytes(tmp_path_factory.getbasetemp() / "long.bin", emb_blob + extra)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_single_byte_change_loads_or_raises_typed(emb_blob, tmp_path_factory, data):
-    pos = data.draw(st.integers(0, len(emb_blob) - 1), label="pos")
-    blob = bytearray(emb_blob)
-    blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
-    try:
-        emb = _load_emb_bytes(tmp_path_factory.getbasetemp() / "flipped.bin", bytes(blob))
-    except speaker.EmbeddingFormatError:
-        return
-    assert abs(np.linalg.norm(emb.vector) - 1.0) <= 1e-6
+def test_zero_vector_rejected():
+    with pytest.raises(speaker.EmbeddingFormatError, match="norm 0.0 is not 1"):
+        speaker.SpeakerEmbedding(np.zeros(4))
 
 
 def test_sim_o_basics():
@@ -164,10 +83,8 @@ def test_sim_o_dimension_mismatch():
         speaker.sim_o(a, b)
 
 
-def test_sim_o_invariant_to_positive_rescaling(tmp_path):
-    rng = np.random.default_rng(6)
-    raw = rng.standard_normal(8)
-    a = speaker.load_external_embedding(raw_file(tmp_path / "a.bin", raw))
-    b = speaker.load_external_embedding(raw_file(tmp_path / "b.bin", 7.5 * raw))
+def test_sim_o_invariant_to_positive_rescaling():
+    raw = np.random.default_rng(6).standard_normal(8)
+    a, b = unit(raw), unit(7.5 * raw)
     np.testing.assert_allclose(a.vector, b.vector, atol=1e-6)
     assert speaker.sim_o(a, b) == pytest.approx(1.0)
