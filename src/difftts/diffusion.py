@@ -23,19 +23,31 @@ from .config import Config, GuidanceConfig, NoiseSchedule
 
 
 @dataclass
+class ConditionTerms:
+    """What a condition adds to ``score_net`` whatever ``x_t`` and ``t`` are.
+
+    ``speaker_rows`` is ``speaker_rows(store, speaker)``, and ``mel_in`` is
+    the mel's term of the input conv with the input bias included, [batch x]
+    frames x C.  Both stay valid while the store's parameters are unchanged.
+    """
+    speaker_rows: list
+    mel_in: nc.Tensor
+
+
+@dataclass
 class ScoreCondition:
     """Decoder conditioning: a frame-level mel condition plus a speaker vector.
 
     Either field may be a graph Tensor (training) or an ndarray (sampling);
     ``score_net`` turns arrays into tensors.  ``mel`` may carry a leading
-    batch axis of conditions that share the speaker.  ``speaker_rows`` may
-    hold ``speaker_rows(store, speaker)`` computed ahead, valid while the
-    store's parameters stay unchanged; ``score_net`` computes them when it
-    is None.
+    batch axis of conditions that share the speaker.  ``terms`` holds the
+    condition's ``ConditionTerms`` when ``prepare_conditions`` has computed
+    them ahead; ``score_net`` then reads only ``terms``, and computes them
+    itself when it is None.
     """
     mel: object       # [batch x] frames x n_mels (aligned text mu, or mean-mel broadcast)
     speaker: object   # (d_spk,) unit norm
-    speaker_rows: list | None = None
+    terms: ConditionTerms | None = None
 
 
 def forward_diffuse(x0, mu, t: float, noise, schedule: NoiseSchedule):
@@ -95,9 +107,9 @@ def speaker_rows(store: nc.ParamStore, speaker) -> list[nc.Tensor]:
     return _block_rows(store, _tensor(store, speaker).reshape(1, -1), "spk")
 
 
-def _res_block(store: nc.ParamStore, x: nc.Tensor, t_add: nc.Tensor,
-               s_add: nc.Tensor, name: str, kernel: int) -> nc.Tensor:
-    h = x + t_add + s_add  # row vectors broadcast over frames
+def _res_block(store: nc.ParamStore, x: nc.Tensor, add: nc.Tensor, name: str,
+               kernel: int) -> nc.Tensor:
+    h = x + add  # the block's time-plus-speaker row, broadcast over frames
     h = nc.layer_norm(h, store[f"{name}.ln.gain"].tensor, store[f"{name}.ln.bias"].tensor)
     h = nc.tanh(h)
     h = nc.conv1d(h, store[f"{name}.conv.w"].tensor, store[f"{name}.conv.b"].tensor, kernel=kernel)
@@ -111,6 +123,51 @@ def _upsample_to(x: nc.Tensor, frames: int) -> nc.Tensor:
     return nc.slice_rows(doubled, 0, frames)
 
 
+def _input_weights(store: nc.ParamStore, cfg: Config) -> tuple[nc.Tensor, nc.Tensor]:
+    """``dec.in.w`` split into its x_t rows and its mel rows.
+
+    Each tap's block of the weight is [x_t rows | mel rows], so the input
+    conv of concat(x_t, mel) is the conv of x_t plus the conv of mel.  The
+    split is taken on the tape, so gradients reach the one parameter.
+    """
+    k, n = cfg.model.conv_kernel, cfg.audio.n_mels
+    taps = store["dec.in.w"].tensor.reshape(k, 2 * n, -1)
+    return tuple(nc.slice_rows(taps, a, a + n).reshape(k * n, -1) for a in (0, n))
+
+
+def _mel_term(store: nc.ParamStore, mel, w_mel: nc.Tensor, cfg: Config) -> nc.Tensor:
+    return nc.conv1d(_tensor(store, mel), w_mel, store["dec.in.b"].tensor,
+                     kernel=cfg.model.conv_kernel)
+
+
+def prepare_conditions(store: nc.ParamStore, conds: list[ScoreCondition],
+                       cfg: Config) -> list[ScoreCondition]:
+    """The conditions with their ``terms`` computed off the tape, all sharing
+    one set of speaker rows.
+
+    The conditions must share the speaker (guidance holds it fixed) and the
+    frame count.  A non-finite term raises NumericError naming the op.
+    """
+    spk = _tensor(store, conds[0].speaker).data
+    mels = [_tensor(store, c.mel) for c in conds]
+    for c, mel in zip(conds[1:], mels[1:]):
+        if mel.shape != mels[0].shape:
+            raise nc.ShapeError("conditional and unconditional mels must share frame count")
+        if not np.array_equal(_tensor(store, c.speaker).data, spk):
+            raise ValueError("guidance holds the speaker fixed: "
+                             "both conditions need the same speaker")
+
+    def forward():
+        with nc.no_grad():
+            w_mel = _input_weights(store, cfg)[1]
+            rows = [nc.require_finite(r, "speaker row") for r in speaker_rows(store, spk)]
+            return [ConditionTerms(rows, nc.require_finite(_mel_term(store, mel, w_mel, cfg),
+                                                           "input-layer term of a mel condition"))
+                    for mel in mels]
+
+    return [replace(c, terms=terms) for c, terms in zip(conds, nc.run_checked(forward))]
+
+
 def score_net(store: nc.ParamStore, x_t, t: float, cond: ScoreCondition,
               cfg: Config) -> nc.Tensor:
     """Predict the injected noise from (X_t, conditions, t): a small conv U.
@@ -118,25 +175,27 @@ def score_net(store: nc.ParamStore, x_t, t: float, cond: ScoreCondition,
     ``x_t`` is frames x n_mels.  With a batch of mel conditions (B x frames
     x n_mels) every condition sees the same ``x_t``, ``t`` and speaker in
     one pass, and the result is B x frames x n_mels; slice b equals the
-    unbatched result for condition b bit for bit.
+    unbatched result for condition b bit for bit.  The input conv of
+    ``x_t`` runs once, unbatched, and is added to each condition's term.
     """
     k = cfg.model.conv_kernel
-    x, mel = _tensor(store, x_t), _tensor(store, cond.mel)
-    if x.data.ndim != 2 or x.shape != mel.shape[-2:]:
-        raise nc.ShapeError(f"sample/condition shapes disagree: {x.shape} vs {mel.shape}")
+    x = _tensor(store, x_t)
+    w_x, w_mel = _input_weights(store, cfg)
+    terms = cond.terms
+    if terms is None:
+        terms = ConditionTerms(speaker_rows(store, cond.speaker),
+                               _mel_term(store, cond.mel, w_mel, cfg))
+    if x.data.ndim != 2 or x.shape[0] != terms.mel_in.shape[-2]:
+        raise nc.ShapeError(f"sample/condition frames disagree: {x.shape} vs "
+                            f"{terms.mel_in.shape}")
     t_emb = nc.Tensor(nc.sinusoidal_embedding(t, cfg.model.dec_channels, dtype=store.dtype))
-    t_rows = _block_rows(store, t_emb, "time")
-    s_rows = cond.speaker_rows
-    if s_rows is None:
-        s_rows = speaker_rows(store, cond.speaker)
-    adds = {b: (t_add, s_add) for b, t_add, s_add in zip(_BLOCKS, t_rows, s_rows)}
+    adds = {b: t_add + s_add for b, t_add, s_add in
+            zip(_BLOCKS, _block_rows(store, t_emb, "time"), terms.speaker_rows)}
 
     def block(h: nc.Tensor, name: str) -> nc.Tensor:
-        return _res_block(store, h, *adds[name], f"dec.{name}", k)
+        return _res_block(store, h, adds[name], f"dec.{name}", k)
 
-    h = nc.concat_cols(x, mel)
-    h0 = nc.conv1d(h, store["dec.in.w"].tensor, store["dec.in.b"].tensor, kernel=k)
-    h0 = block(h0, "down0")
+    h0 = block(nc.conv1d(x, w_x, kernel=k) + terms.mel_in, "down0")
     h1 = block(nc.avg_pool_rows(h0), "down1")
     h2 = block(nc.avg_pool_rows(h1), "mid")
     u1 = block(_upsample_to(h2, h1.shape[-2]) + h1, "up1")
@@ -190,22 +249,22 @@ def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
     """Guided score; gamma 0 short-circuits to the conditional score and is
     the only setting that may omit ``cond_mel``.
 
-    At gamma > 0 both conditions go through one ``score_net`` pass with the
-    mels stacked on a batch axis.  Guidance holds the speaker fixed, so both
-    conditions must carry the same speaker vector.
+    At gamma > 0 both conditions go through one ``score_net`` pass with
+    their mel terms stacked on a batch axis.  Guidance holds the speaker
+    fixed, so both conditions must carry the same speaker vector; two
+    conditions not prepared together by ``prepare_conditions`` are
+    prepared, and so checked, here.
     """
     if gamma == 0.0:
         return score_from_noise(_noise_prediction(store, x_t, t, cond_c, cfg), t, schedule)
     if cond_mel is None:
         raise ValueError(f"guidance at gamma={gamma} needs the unconditional mel condition")
-    if cond_mel.mel.shape != cond_c.mel.shape:
-        raise nc.ShapeError("conditional and unconditional mels must share frame count")
-    if not np.array_equal(_tensor(store, cond_c.speaker).data,
-                          _tensor(store, cond_mel.speaker).data):
-        raise ValueError("guidance holds the speaker fixed: both conditions need the same speaker")
-    mels = np.stack([_tensor(store, c.mel).data for c in (cond_c, cond_mel)])
-    eps = _noise_prediction(store, x_t, t, replace(cond_c, mel=mels), cfg)
-    s_c, s_u = score_from_noise(eps, t, schedule)
+    if cond_c.terms is None or cond_mel.terms is None or (
+            cond_c.terms.speaker_rows is not cond_mel.terms.speaker_rows):
+        cond_c, cond_mel = prepare_conditions(store, [cond_c, cond_mel], cfg)
+    mel_in = nc.Tensor(np.stack([cond_c.terms.mel_in.data, cond_mel.terms.mel_in.data]))
+    pair = replace(cond_c, terms=ConditionTerms(cond_c.terms.speaker_rows, mel_in))
+    s_c, s_u = score_from_noise(_noise_prediction(store, x_t, t, pair, cfg), t, schedule)
     return guided_score(s_c, s_u, gamma)
 
 
@@ -215,18 +274,22 @@ def reverse_sample(store: nc.ParamStore, mu: np.ndarray, speaker: np.ndarray,
     """Integrate dX = (mu/2 - X/2 - s) beta dt from t=1 down to schedule.t_min.
 
     Deterministic given the seed: randomness enters only through the initial
-    sample X_1 ~ N(mu, temperature * I).  The speaker's block projections are
-    computed once, not once per step.
+    sample X_1 ~ N(mu, temperature * I).  The conditions' terms (speaker
+    projections and mel input-layer terms) are computed once, not once per
+    step; ``cond_mel`` is used only at gamma > 0.
     """
     mu = np.asarray(mu, dtype=store.dtype)
     spk = np.asarray(speaker, dtype=store.dtype)
     rng = np.random.default_rng(seed)
     x = mu + math.sqrt(guidance.temperature) * rng.standard_normal(mu.shape).astype(store.dtype)
-    with nc.no_grad():
-        rows = speaker_rows(store, spk)
-    cond_c = ScoreCondition(mu, spk, rows)
-    cond_u = None if cond_mel is None else ScoreCondition(
-        np.asarray(cond_mel, dtype=store.dtype), spk, rows)
+    conds = [ScoreCondition(mu, spk)]
+    if guidance.gamma != 0.0 and cond_mel is not None:
+        conds.append(ScoreCondition(np.asarray(cond_mel, dtype=store.dtype), spk))
+    try:
+        cond_c, *cond_u = prepare_conditions(store, conds, cfg)
+    except nc.NumericError as exc:
+        raise nc.NumericError(f"sampler conditions: {exc}") from exc
+    cond_u = cond_u[0] if cond_u else None
     h = (1.0 - schedule.t_min) / guidance.steps
     for k in range(guidance.steps):
         t = 1.0 - k * h

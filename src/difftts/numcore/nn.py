@@ -125,13 +125,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize each row to zero mean / unit variance, then affine rescale.
 
     ``x`` is rows x C or batch x rows x C; rows are normalized over axis -1.
+    A row whose variance is not finite raises NumericError: a huge finite row
+    squares to inf, and would otherwise normalize to exactly the bias.
     """
     if x.data.ndim not in (2, 3):
         raise ShapeError("layer_norm expects a 2-D or 3-D tensor")
     # np.mean and np.var's arithmetic, with the centred rows formed only once
     n = x.data.shape[-1]
     xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + eps)
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
+    _check_op("layer_norm", "row variance", var, (x, gain, bias))
+    inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data

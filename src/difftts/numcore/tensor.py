@@ -19,7 +19,9 @@ data) and, by callers through ``require_finite``, where results leave it.
 Node outputs are not checked, except by ``log`` and ``exp``; ``tanh``,
 ``exp``, ``relu`` and ``softmax_rows`` check their input, which they could
 map to a finite output.  ``run_checked`` replays a forward that failed a
-check with every op's output checked, to name the op at fault.
+check with every op's output checked, to name the op at fault.  The replay
+skips the ops that only move values (``_MOVES``): a non-finite parameter
+reshaped or sliced on its way into a product is reported by that product.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ _grad_enabled = True
 
 # When True, every op checks its output (``run_checked``'s replay).
 _check_ops = False
+
+# Ops that copy or rearrange values without arithmetic; the replay does not
+# check them, since they cannot make a non-finite value.
+_MOVES = frozenset({"reshape", "transpose", "concat_cols", "slice_rows", "slice_cols",
+                    "repeat_rows"})
 
 
 @contextlib.contextmanager
@@ -238,7 +245,9 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
     """An op's output, checked only in a replay; ``backward``'s enclosing function names the op."""
     data = _coerce(data)
     if _check_ops:
-        _check_op(backward.__qualname__.split(".")[0], "output", data, parents)
+        op = backward.__qualname__.split(".")[0]
+        if op not in _MOVES:
+            _check_op(op, "output", data, parents)
     out = Tensor.__new__(Tensor)
     out._init(data, False)
     if _grad_enabled and any(p.requires_grad for p in parents):

@@ -118,17 +118,21 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
     batch_size = min(cfg.train.batch_size, n)
     last_epoch = trainer.epoch + n_epochs
     for _ in range(n_epochs):
-        trainer.epoch += 1
-        order = np.random.default_rng([cfg.train.seed, _ORDER, trainer.epoch]).permutation(n)
+        # the counters advance only once their work is done, so a refused
+        # step leaves them in agreement with the parameters and Adam's count
+        epoch = trainer.epoch + 1
+        order = np.random.default_rng([cfg.train.seed, _ORDER, epoch]).permutation(n)
         sums = np.zeros(3)
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
-            trainer.step += 1
+            step = trainer.step + 1
             loss = nc.run_checked(
-                lambda: _step_loss(model, trainer.step, batch, utterances, seqs, pools, sums))
+                lambda: _step_loss(model, step, batch, utterances, seqs, pools, sums))
             model.store.zero_grads()
             loss.backward()
             trainer.opt.step()
+            trainer.step = step
+        trainer.epoch = epoch
         enc_m, dur_m, diff_m = (float(v) for v in sums / n)
         lines.append(f"{trainer.epoch},{enc_m!r},{dur_m!r},{diff_m!r},{enc_m + dur_m + diff_m!r}")
         if checkpoint_path is not None and (

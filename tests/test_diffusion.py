@@ -109,6 +109,50 @@ def test_score_net_shape_contract(tiny_cfg):
         assert out.shape == x.shape
 
 
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_input_layer_is_the_conv_of_the_concatenation(tiny_cfg, monkeypatch, batch):
+    # the split input conv against the one conv of concat(x_t, mel); the
+    # bias is nonzero so a lost or doubled bias shows too
+    store = make_store(tiny_cfg)
+    rng = np.random.default_rng(5)
+    store["dec.in.b"].tensor.data[:] = rng.standard_normal(tiny_cfg.model.dec_channels)
+    x = rng.standard_normal((7, tiny_cfg.audio.n_mels))
+    mel = rng.standard_normal(batch + (7, tiny_cfg.audio.n_mels))
+    seen = {}
+    res_block = diffusion._res_block
+
+    def spy(store, h, add, name, kernel):
+        seen.setdefault(name, h)
+        return res_block(store, h, add, name, kernel)
+
+    monkeypatch.setattr(diffusion, "_res_block", spy)
+    diffusion.score_net(store, x, 0.5, diffusion.ScoreCondition(mel, rng.standard_normal(
+        tiny_cfg.model.d_spk)), tiny_cfg)
+    want = nc.conv1d(nc.concat_cols(nc.Tensor(x), nc.Tensor(mel)), store["dec.in.w"].tensor,
+                     store["dec.in.b"].tensor, kernel=tiny_cfg.model.conv_kernel).data
+    got = seen["dec.down0"].data
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_prepared_condition_matches_raw(tiny_cfg, dtype, batch):
+    store = nc.ParamStore(dtype=dtype)
+    diffusion.init_params(store, tiny_cfg, np.random.default_rng(0))
+    randomize_head(store)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((6, tiny_cfg.audio.n_mels))
+    cond = diffusion.ScoreCondition(rng.standard_normal(batch + (6, tiny_cfg.audio.n_mels)),
+                                    rng.standard_normal(tiny_cfg.model.d_spk))
+    [prepared] = diffusion.prepare_conditions(store, [cond], tiny_cfg)
+    with nc.no_grad():
+        raw = diffusion.score_net(store, x, 0.3, cond, tiny_cfg)
+        ahead = diffusion.score_net(store, x, 0.3, prepared, tiny_cfg)
+    assert raw.data.dtype == ahead.data.dtype == dtype
+    assert raw.data.tobytes() == ahead.data.tobytes()
+
+
 def test_speaker_conditioning_is_not_degenerate(tiny_cfg):
     store = make_store(tiny_cfg)
     randomize_head(store)
@@ -345,6 +389,30 @@ def test_single_step_matches_hand_update(tiny_cfg):
     h = 1.0 - SCHED.t_min
     expected = x1 - h * SCHED.beta(1.0) * 0.5 * (mu - x1)
     np.testing.assert_allclose(out, expected, rtol=1e-6)
+
+
+def test_reverse_sample_prepares_its_conditions_once(tiny_cfg, monkeypatch):
+    store = make_store(tiny_cfg)
+    randomize_head(store)
+    rng = np.random.default_rng(17)
+    mu = rng.standard_normal((5, tiny_cfg.audio.n_mels))
+    c_mel = rng.standard_normal((5, tiny_cfg.audio.n_mels))
+    spk = rng.standard_normal(tiny_cfg.model.d_spk)
+    calls = {"prepare_conditions": 0, "score_net": 0}
+
+    def counted(name):
+        fn = getattr(diffusion, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(diffusion, name, counted(name))
+    guide = diffusion.GuidanceConfig(gamma=1.0, steps=4, temperature=1.0)
+    diffusion.reverse_sample(store, mu, spk, guide, SCHED, tiny_cfg, seed=2, cond_mel=c_mel)
+    assert calls == {"prepare_conditions": 1, "score_net": 4}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

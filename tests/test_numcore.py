@@ -337,6 +337,17 @@ def test_saturating_ops_refuse_a_non_finite_input(op, name):
         op(x)
 
 
+def test_layer_norm_refuses_a_row_whose_variance_overflows():
+    # float32: the centred values square past the largest float, so the
+    # variance is inf and the row would normalize to exactly the bias
+    x = nc.Tensor(np.array([[1e20, -1e20, 3e19, 0.0]], dtype=np.float32))
+    gain, bias = (nc.Tensor(np.full(4, v, dtype=np.float32)) for v in (1.0, 0.5))
+    with pytest.raises(nc.NumericError, match=r"^layer_norm: non-finite row variance; "
+                                              r"input shapes \(1, 4\), \(4,\), \(4,\)$"), \
+            np.errstate(over="ignore"):
+        nc.layer_norm(x, gain, bias)
+
+
 def test_replay_names_the_first_op_with_a_non_finite_output():
     w = nc.Tensor(np.ones((3, 2)), requires_grad=True)
     w.data[1, 0] = np.nan

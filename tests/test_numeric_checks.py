@@ -46,11 +46,12 @@ def _state(trainer):
 
 
 def _train_refused(trainer, utts, match):
-    """One epoch must raise a NumericError matching ``match`` and apply no update."""
-    before = _state(trainer)
+    """One epoch must raise a NumericError matching ``match``, apply no update
+    and leave the step and epoch counters where they were."""
+    before = _state(trainer), trainer.step, trainer.epoch
     with pytest.raises(nc.NumericError, match=match):
         pipeline.train_epochs(trainer, utts, 1)
-    assert _state(trainer) == before
+    assert (_state(trainer), trainer.step, trainer.epoch) == before
 
 
 def _first_utterance(utts):
@@ -79,6 +80,46 @@ def test_nan_encoder_weight_names_op_step_and_utterance(corpus):
     uid = re.escape(_first_utterance(utts))
     _train_refused(trainer, utts, rf"^step 1, utterance {uid}: conv1d: non-finite output; "
                                   rf"input shapes \(\d+, 16\), \(48, 16\) \[non-finite\], \(16,\)$")
+    assert trainer.step == trainer.opt.t == 0 and trainer.epoch == 0
+
+
+# the input conv's weight is split by view into its x_t and mel rows; a NaN
+# in either half is reported by the conv that uses it, not by the split
+_X_ROW, _MEL_ROW = 0, CFG.audio.n_mels
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+@pytest.mark.parametrize("row, where, bias", [(_X_ROW, r"sampler step 1 of 4 \(t=1\)", ""),
+                                              (_MEL_ROW, "sampler conditions", r", \(8,\)")],
+                         ids=["x_rows", "mel_rows"])
+def test_nan_input_conv_weight_names_the_op_in_synthesis(corpus, gamma, row, where, bias):
+    model = pipeline.TTSModel(CFG, corpus[2], seed=1)
+    model.store["dec.in.w"].tensor.data[row, 0] = np.nan
+    with pytest.raises(nc.NumericError) as info:
+        _synthesize(model, corpus, gamma)
+    assert re.fullmatch(rf"{where}: conv1d: non-finite output; input shapes "
+                        rf"\(\d+, 80\), \(240, 8\) \[non-finite\]{bias}", str(info.value)), \
+        str(info.value)
+
+
+def test_nan_speaker_projection_names_the_op_in_synthesis(corpus):
+    # the speaker rows are computed once per sample, with the mel terms
+    model = pipeline.TTSModel(CFG, corpus[2], seed=1)
+    model.store["dec.mid.spk.w"].tensor.data[0, 0] = np.nan
+    with pytest.raises(nc.NumericError, match=r"^sampler conditions: matmul: non-finite output; "
+                                              r"input shapes \(1, 8\), \(8, 8\) \[non-finite\]$"):
+        _synthesize(model, corpus, 0.7)
+
+
+@pytest.mark.parametrize("row, bias", [(_X_ROW, ""), (_MEL_ROW, r", \(8,\)")],
+                         ids=["x_rows", "mel_rows"])
+def test_nan_input_conv_weight_names_op_step_and_utterance(corpus, row, bias):
+    _, utts, vocab = corpus
+    trainer = pipeline.new_trainer(CFG, vocab, utts)
+    trainer.model.store["dec.in.w"].tensor.data[row, 0] = np.nan
+    uid = re.escape(_first_utterance(utts))
+    _train_refused(trainer, utts, rf"^step 1, utterance {uid}: conv1d: non-finite output; "
+                                  rf"input shapes \(\d+, 80\), \(240, 8\) \[non-finite\]{bias}$")
 
 
 def test_nan_gradient_names_the_parameter(corpus, monkeypatch):
