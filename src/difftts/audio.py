@@ -26,6 +26,11 @@ LOG_CEILING = 20.0
 # Soendergaard, "A fast Griffin-Lim algorithm", WASPAA 2013)
 FGLA_MOMENTUM = 0.99
 
+# half-width, in source samples, of resample's windowed-sinc kernel, and the
+# output samples it computes per block (4096 x 64 float64 products: 2 MB)
+RESAMPLE_TAPS = 32
+RESAMPLE_BLOCK = 4096
+
 MELSTATS_MAGIC = b"MELSTATS"
 MELSTATS_VERSION = 1
 
@@ -130,6 +135,10 @@ def load_wav(path) -> Waveform:
             raw = w.readframes(w.getnframes())
     except (wave.Error, EOFError) as exc:
         raise AudioFormatError(f"{path}: malformed WAV ({exc or 'truncated header'})") from exc
+    if rate <= 0:
+        raise AudioFormatError(f"{path}: header sample rate {rate} is not positive")
+    if len(raw) % 2:
+        raise AudioFormatError(f"{path}: data chunk of {len(raw)} bytes ends mid-sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)
 
@@ -157,8 +166,8 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def resample(w: Waveform, target_rate: int, taps: int = 32) -> Waveform:
-    """Windowed-sinc resampling to target_rate."""
+def resample(w: Waveform, target_rate: int) -> Waveform:
+    """Windowed-sinc resampling to target_rate, RESAMPLE_BLOCK outputs at a time."""
     if target_rate <= 0 or w.sample_rate <= 0:
         raise ValueError("rates must be positive")
     if target_rate == w.sample_rate:
@@ -167,14 +176,17 @@ def resample(w: Waveform, target_rate: int, taps: int = 32) -> Waveform:
     out_len = _round_half_up(w.samples.size * ratio)
     # cutoff relative to the source Nyquist; downsampling narrows it
     fc = min(1.0, ratio)
-    centers = np.arange(out_len) / ratio
-    base = np.floor(centers).astype(np.int64)
+    taps = RESAMPLE_TAPS
     offsets = np.arange(-taps + 1, taps + 1)
-    idx = base[:, None] + offsets[None, :]
-    frac = idx - centers[:, None]
-    kernel = fc * np.sinc(fc * frac) * (0.5 + 0.5 * np.cos(np.pi * np.clip(frac / taps, -1.0, 1.0)))
     padded = np.concatenate([np.zeros(taps), w.samples, np.zeros(taps + 1)])
-    out = (padded[idx + taps] * kernel).sum(axis=1)
+    out = np.empty(out_len)
+    for lo in range(0, out_len, RESAMPLE_BLOCK):
+        centers = np.arange(lo, min(lo + RESAMPLE_BLOCK, out_len)) / ratio
+        idx = np.floor(centers).astype(np.int64)[:, None] + offsets[None, :]
+        frac = idx - centers[:, None]
+        window = 0.5 + 0.5 * np.cos(np.pi * np.clip(frac / taps, -1.0, 1.0))
+        kernel = fc * np.sinc(fc * frac) * window
+        out[lo:lo + centers.size] = (padded[idx + taps] * kernel).sum(axis=1)
     return Waveform(out, target_rate)
 
 

@@ -94,7 +94,7 @@ def cmd_synth(args) -> int:
     steps = guidance.steps if args.steps is None else args.steps
     try:
         result = pipeline.synthesize(trainer.model, stats, args.text, reference,
-                                     gamma=gamma, steps=steps, seed=args.seed or 0)
+                                     gamma=gamma, steps=steps, seed=args.seed)
     except ConfigMismatchError as exc:
         raise ConfigMismatchError(f"{stats_path}: {exc}") from exc
     write_wav(args.out, result.wave)
@@ -126,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="compute the dataset-mean mel statistics")
     p.add_argument("--corpus", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_stats)
 

@@ -110,7 +110,7 @@ class Config:
 
     def to_lines(self) -> list[str]:
         lines = []
-        for section in ("audio", "model", "schedule", "train", "guidance"):
+        for section in _SECTIONS:
             obj = getattr(self, section)
             for f in fields(obj):
                 lines.append(f"{section}.{f.name}={getattr(obj, f.name)}")
@@ -129,8 +129,6 @@ _SECTIONS = {
 
 def _parse_value(key: str, raw: str, kind: type) -> Any:
     raw = raw.strip()
-    if kind not in (int, float):
-        return raw
     try:
         value = kind(raw)
     except ValueError as exc:
@@ -161,20 +159,12 @@ def parse_config(text: str) -> Config:
         cls = _SECTIONS.get(section)
         if cls is None:
             raise ConfigError(f"line {lineno}: unknown section {section!r}")
-        known = {f.name: f.type for f in fields(cls)}
-        if name not in known:
+        kinds = {f.name: type(getattr(cls(), f.name)) for f in fields(cls)}
+        if name not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kind = {f.name: type(getattr(cls(), f.name)) for f in fields(cls)}[name]
-        by_section[section][name] = _parse_value(key, raw, kind)
+        by_section[section][name] = _parse_value(key, raw, kinds[name])
     try:
-        return Config(
-            audio=AnalysisConfig(**by_section["audio"]),
-            model=ModelConfig(**by_section["model"]),
-            schedule=NoiseSchedule(**by_section["schedule"]),
-            train=TrainConfig(**by_section["train"]),
-            guidance=GuidanceConfig(**by_section["guidance"]),
-            **top,
-        )
+        return Config(**{s: _SECTIONS[s](**kw) for s, kw in by_section.items()}, **top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -33,6 +33,8 @@ def read_speaker_map(path) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusError(f"{path} line {lineno}: expected id<TAB>speaker")
+        if parts[0] in mapping:
+            raise CorpusError(f"{path} line {lineno}: duplicate utterance id {parts[0]!r}")
         mapping[parts[0]] = parts[1]
     if not mapping:
         raise CorpusError(f"{path}: no speaker entries")

@@ -40,15 +40,10 @@ class ReferenceMel:
     source_utterance: str
     source_speaker: str
 
-    def __post_init__(self):
-        if self.mel.frames < 1:
-            raise ValueError("reference mel needs at least one frame")
-
 
 @dataclass
 class DurationVector:
-    frames: np.ndarray        # per-phoneme positive integers
-    log_durations: np.ndarray  # pre-rounding real values
+    frames: np.ndarray  # per-phoneme positive integers
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.int64)
@@ -168,7 +163,7 @@ def durations_to_frames(log_d: np.ndarray) -> DurationVector:
         raise DurationLimitError(
             f"token {i} ({rounded[i]:.4g} frames) brings the frame total to {totals[i]:.4g}, "
             f"over the limit of {MAX_FRAMES} frames")
-    return DurationVector(rounded.astype(np.int64), log_d)
+    return DurationVector(rounded.astype(np.int64))
 
 
 def duration_loss(log_d_pred: nc.Tensor, true_frames: np.ndarray) -> nc.Tensor:

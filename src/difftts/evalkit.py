@@ -114,9 +114,7 @@ class MetricTable:
         return METRIC_LABELS[self.metric]
 
 
-def aggregate(records: Sequence[UtteranceRecord], metric: str,
-              dataset_order: Sequence[str] | None = None,
-              language_order: Sequence[str] | None = None) -> MetricTable:
+def aggregate(records: Sequence[UtteranceRecord], metric: str) -> MetricTable:
     """Unweighted per-(dataset, language) mean of the selected metric."""
     if metric not in METRIC_LABELS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -141,15 +139,8 @@ def aggregate(records: Sequence[UtteranceRecord], metric: str,
         sums[key] = sums.get(key, 0.0) + value
         counts[key] = counts.get(key, 0) + 1
     cells = {k: (sums[k] / counts[k], counts[k]) for k in sums}
-
-    def ordered(seen: set[str], preferred: Sequence[str] | None) -> list[str]:
-        if preferred is None:
-            return sorted(seen)
-        known = [x for x in preferred if x in seen]
-        return known + sorted(seen - set(known))
-
-    datasets = ordered({d for d, _ in cells}, dataset_order)
-    languages = ordered({l for _, l in cells}, language_order)
+    datasets = sorted({d for d, _ in cells})
+    languages = sorted({l for _, l in cells})
     return MetricTable(metric, cells, datasets, languages, skipped)
 
 

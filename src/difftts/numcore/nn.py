@@ -44,9 +44,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -268,5 +265,5 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-scale, scale, size=shape)
 
 
-def normal_init(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
+def normal_init(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> np.ndarray:
     return std * rng.standard_normal(shape)

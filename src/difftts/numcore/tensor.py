@@ -9,15 +9,15 @@ Only what the synthesis stack needs is implemented: 2-D matmul, elementwise
 arithmetic with scalar/row broadcasting, a handful of nonlinearities and
 reductions.  This is deliberately not a general array library.
 
-The row ops (``slice_rows``, ``repeat_rows``, ``avg_pool_rows``) and
-``concat_cols`` also take a leading batch axis (B x T x C), so B inputs of
-one length can share a pass; rows are axis -2 and columns axis -1.  Each
-batch slice gets exactly the arithmetic the 2-D op gives it.
+The row ops (``slice_rows``, ``repeat_rows``, ``avg_pool_rows``) also take
+a leading batch axis (B x T x C), so B inputs of one length can share a
+pass; rows are axis -2.  Each batch slice gets exactly the arithmetic the
+2-D op gives it.
 
 Finiteness is checked where values enter the tape (leaves built from outside
 data) and, by callers through ``require_finite``, where results leave it.
-Node outputs are not checked, except by ``log`` and ``exp``; ``tanh``,
-``exp``, ``relu`` and ``softmax_rows`` check their input, which they could
+Node outputs are not checked, except by ``exp``; ``tanh``, ``exp``,
+``relu`` and ``softmax_rows`` check their input, which they could
 map to a finite output.  ``run_checked`` replays a forward that failed a
 check with every op's output checked, to name the op at fault.  The replay
 skips the ops that only move values (``_MOVES``): a non-finite parameter
@@ -140,10 +140,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
 
@@ -195,14 +191,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __sub__(self, other):
         return add(self, mul(_wrap(other, self), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self), mul(self, -1.0))
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
@@ -221,12 +211,6 @@ class Tensor:
 
     def mean(self):
         return tmean(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
     def tanh(self):
         return tanh(self)
@@ -348,17 +332,6 @@ def exp(a: Tensor) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-    _check_op("log", "output", data, (a,))
-
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return _node(data, (a,), backward)
-
-
 def tanh(a: Tensor) -> Tensor:
     _check_op("tanh", "input", a.data, (a,))  # tanh(+-inf) is +-1
     data = np.tanh(a.data)
@@ -404,19 +377,15 @@ def _rows_operand(a: Tensor, op: str) -> None:
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Side-by-side columns; a 2-D operand is shared by every slice of a 3-D one."""
-    _rows_operand(a, "concat_cols")
-    _rows_operand(b, "concat_cols")
-    if a.shape[-2] != b.shape[-2] or (a.data.ndim == b.data.ndim == 3 and a.shape[0] != b.shape[0]):
+    """Side-by-side columns of two 2-D tensors with the same rows."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"cannot column-concat shapes {a.shape} and {b.shape}")
-    na = a.shape[-1]
-    lead = a.shape[:-1] if a.data.ndim >= b.data.ndim else b.shape[:-1]
-    parts = [np.broadcast_to(v.data, lead + v.shape[-1:]) for v in (a, b)]
-    data = np.concatenate(parts, axis=-1)
+    na = a.shape[1]
+    data = np.concatenate([a.data, b.data], axis=1)
 
     def backward(g):
-        a._accumulate(_unbroadcast(g[..., :na], a.shape))
-        b._accumulate(_unbroadcast(g[..., na:], b.shape))
+        a._accumulate(g[:, :na])
+        b._accumulate(g[:, na:])
 
     return _node(data, (a, b), backward)
 

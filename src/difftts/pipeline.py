@@ -14,7 +14,7 @@ import numpy as np
 from . import aligner, checkpoint, diffusion, durpred, encoder, speaker
 from . import numcore as nc
 from .audio import (LOG_CEILING, LOG_FLOOR, ConfigMismatchError, MelSpectrogram, MelStats,
-                    Waveform, broadcast_mean, griffin_lim, wav_to_mel)
+                    Waveform, broadcast_mean, griffin_lim, resample, wav_to_mel)
 from .config import Config, parse_config
 from .corpus import Utterance, require_reference_material, speaker_pools
 from .durpred import DurationVector
@@ -221,7 +221,6 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
         raise ConfigMismatchError("mel stats were computed under a different analysis config "
                                   "than the model's; rerun `difftts stats` with its config")
     if reference.sample_rate != cfg.audio.sample_rate:
-        from .audio import resample
         reference = resample(reference, cfg.audio.sample_rate)
     ref_mel = wav_to_mel(reference, cfg.audio)
     seq = model.encode_text(text)

@@ -77,7 +77,59 @@ def test_load_wav_rejects_stereo(tmp_path):
         audio.load_wav(p)
 
 
+def test_load_wav_names_a_data_chunk_cut_mid_sample(tmp_path):
+    p = tmp_path / "cut.wav"
+    audio.write_wav(p, audio.Waveform(np.zeros(100), 22050))
+    p.write_bytes(p.read_bytes()[:-1])
+    with pytest.raises(audio.AudioFormatError, match="cut.wav: data chunk of 199 bytes"):
+        audio.load_wav(p)
+
+
+def test_load_wav_names_a_zero_header_rate(tmp_path):
+    p = tmp_path / "rate0.wav"
+    audio.write_wav(p, audio.Waveform(np.zeros(100), 22050))
+    raw = bytearray(p.read_bytes())
+    raw[24:28] = bytes(4)  # the fmt chunk's sample rate field
+    p.write_bytes(bytes(raw))
+    with pytest.raises(audio.AudioFormatError, match="rate0.wav: header sample rate 0"):
+        audio.load_wav(p)
+
+
 # -- resample -----------------------------------------------------------------
+
+def resample_one_shot(w, target_rate, taps=32):
+    # every output sample's kernel and sum in one (out_len, 2 * taps) pass
+    ratio = target_rate / w.sample_rate
+    out_len = int(np.floor(w.samples.size * ratio + 0.5))
+    fc = min(1.0, ratio)
+    centers = np.arange(out_len) / ratio
+    idx = np.floor(centers).astype(np.int64)[:, None] + np.arange(-taps + 1, taps + 1)[None, :]
+    frac = idx - centers[:, None]
+    kernel = fc * np.sinc(fc * frac) * (0.5 + 0.5 * np.cos(np.pi * np.clip(frac / taps, -1.0, 1.0)))
+    padded = np.concatenate([np.zeros(taps), w.samples, np.zeros(taps + 1)])
+    return (padded[idx + taps] * kernel).sum(axis=1)
+
+
+@pytest.mark.parametrize("source, target", [(8000, 22050), (16000, 22050), (44100, 22050),
+                                            (22050, 16000)])
+def test_resample_blocks_equal_the_one_shot_formula(source, target):
+    # 1.3 s spans several output blocks and ends inside one
+    samples = np.random.default_rng(source).uniform(-1.0, 1.0, int(1.3 * source))
+    w = audio.Waveform(samples, source)
+    assert np.array_equal(audio.resample(w, target).samples, resample_one_shot(w, target))
+
+
+def test_resample_memory_does_not_grow_with_length():
+    import tracemalloc
+    w = audio.Waveform(np.random.default_rng(0).uniform(-1.0, 1.0, 10 * 16000), 16000)
+    tracemalloc.start()
+    try:
+        audio.resample(w, 22050)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
 
 def test_resample_same_rate_identity():
     w = audio.Waveform(sine(440, 0.1, 16000), 16000)

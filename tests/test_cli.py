@@ -3,10 +3,10 @@ import pytest
 
 from difftts import checkpoint, cli, pipeline, toydata
 from difftts.audio import (AnalysisConfig, ConfigMismatchError, MelStats, load_mel_stats, load_wav,
-                           save_mel_stats)
+                           resample, save_mel_stats)
 from difftts.checkpoint import CheckpointError, load_checkpoint
 from difftts.config import Config, GuidanceConfig, parse_config
-from difftts.corpus import load_corpus
+from difftts.corpus import CorpusError, load_corpus, read_speaker_map
 from difftts.textfront import build_vocab, encode_text
 
 TINY_CFG_TEXT = """
@@ -83,6 +83,13 @@ def test_train_missing_transcript_fails(tmp_path, cfg_file, capsys):
     assert run_cli("train", "--corpus", tmp_path / "c", "--config", cfg_file,
                    "--out", tmp_path / "x.ckpt") == 1
     assert "spk1_u0.txt" in capsys.readouterr().err
+
+
+def test_speaker_map_names_a_duplicate_id(tmp_path):
+    p = tmp_path / "speakers.tsv"
+    p.write_text("u0\tspk0\nu1\tspk0\n\nu0\tspk1\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="line 4: duplicate utterance id 'u0'"):
+        read_speaker_map(p)
 
 
 def test_train_single_utterance_speaker_fails(tmp_path, cfg_file, capsys):
@@ -329,6 +336,19 @@ def test_synth_duration_printout_matches_frames(trained, corpus_dir, tmp_path, c
     durs = [int(x) for x in dur_line.split(":")[1].split()]
     assert len(durs) == len(text)
     assert f"{sum(durs)} frames" in printed
+
+
+def test_synthesize_resamples_a_reference_at_another_rate(trained, corpus_dir):
+    trainer, _ = pipeline.load_trainer(trained["checkpoint"])
+    stats = load_mel_stats(trained["stats"])
+    ref16k = resample(load_wav(corpus_dir / "spk0_u0.wav"), 16000)
+    by_hand = resample(ref16k, 22050)
+    a, b = (pipeline.synthesize(trainer.model, stats, "ab cd", ref, gamma=0.5, steps=4, seed=3)
+            for ref in (ref16k, by_hand))
+    assert np.array_equal(a.durations.frames, b.durations.frames)
+    assert a.mel.values.tobytes() == b.mel.values.tobytes()
+    assert a.wave.sample_rate == b.wave.sample_rate == 22050
+    assert a.wave.samples.tobytes() == b.wave.samples.tobytes()
 
 
 def test_synth_missing_stats_instructs_stats_command(trained, corpus_dir, tmp_path, capsys):

@@ -128,8 +128,9 @@ def test_input_layer_is_the_conv_of_the_concatenation(tiny_cfg, monkeypatch, bat
     monkeypatch.setattr(diffusion, "_res_block", spy)
     diffusion.score_net(store, x, 0.5, diffusion.ScoreCondition(mel, rng.standard_normal(
         tiny_cfg.model.d_spk)), tiny_cfg)
-    want = nc.conv1d(nc.concat_cols(nc.Tensor(x), nc.Tensor(mel)), store["dec.in.w"].tensor,
-                     store["dec.in.b"].tensor, kernel=tiny_cfg.model.conv_kernel).data
+    joined = np.concatenate([np.broadcast_to(x, mel.shape), mel], axis=-1)
+    want = nc.conv1d(nc.Tensor(joined), store["dec.in.w"].tensor, store["dec.in.b"].tensor,
+                     kernel=tiny_cfg.model.conv_kernel).data
     got = seen["dec.down0"].data
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -235,8 +235,6 @@ BATCHED_OPS = {
     "avg_pool_rows": lambda x, p: nc.avg_pool_rows(x),
     "repeat_rows": lambda x, p: nc.repeat_rows(x, np.arange(x.shape[-2]) % 3),
     "slice_rows": lambda x, p: nc.slice_rows(x, 1, x.shape[-2] - 1),
-    "concat_cols": lambda x, p: nc.concat_cols(x, p["side"]),
-    "concat_cols_shared": lambda x, p: nc.concat_cols(p["shared"], x),
 }
 
 
@@ -247,14 +245,8 @@ def batch_case(rows, dtype, batch=3, cols=4, seed=0):
         return nc.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
 
     x = make(batch, rows, cols)
-    params = {"w": make(3 * cols, 5), "b": make(5), "gain": make(cols), "bias": make(cols),
-              "side": make(batch, rows, 2), "shared": make(rows, 2)}
+    params = {"w": make(3 * cols, 5), "b": make(5), "gain": make(cols), "bias": make(cols)}
     return x, params
-
-
-def per_slice(params, i):
-    # the arguments of the unbatched call that batch slice i must equal
-    return {k: nc.Tensor(v.data[i]) if k == "side" else v for k, v in params.items()}
 
 
 @pytest.mark.parametrize("op", sorted(BATCHED_OPS))
@@ -266,7 +258,7 @@ def test_batched_op_equals_per_slice_2d(op, rows, dtype):
     out = f(x, params)
     assert out.shape[0] == x.shape[0]
     for i in range(x.shape[0]):
-        assert np.array_equal(out.data[i], f(nc.Tensor(x.data[i]), per_slice(params, i)).data)
+        assert np.array_equal(out.data[i], f(nc.Tensor(x.data[i]), params).data)
 
 
 @pytest.mark.parametrize("op", sorted(BATCHED_OPS))
@@ -320,8 +312,8 @@ def test_l2_normalize():
 def test_non_finite_is_an_error():
     with pytest.raises(nc.NumericError):
         nc.Tensor(np.array([1.0, np.inf]))
-    with pytest.raises(nc.NumericError):
-        nc.log(t([[0.0]]))  # log 0 -> -inf
+    with pytest.raises(nc.NumericError), np.errstate(over="ignore"):
+        nc.exp(t([[1000.0]]))  # exp 1000 -> inf
 
 
 @pytest.mark.parametrize("op, name", [(nc.tanh, "tanh"), (nc.exp, "exp"), (nc.relu, "relu"),
