@@ -10,12 +10,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import struct
+import re
 import wave
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 LOG_FLOOR = 1e-5
 # the largest log-magnitude Griffin-Lim inverts: far above any mel of audio
@@ -30,9 +32,6 @@ FGLA_MOMENTUM = 0.99
 # output samples it computes per block (4096 x 64 float64 products: 2 MB)
 RESAMPLE_TAPS = 32
 RESAMPLE_BLOCK = 4096
-
-MELSTATS_MAGIC = b"MELSTATS"
-MELSTATS_VERSION = 1
 
 
 class AudioFormatError(ValueError):
@@ -356,49 +355,39 @@ def mean_mel(corpus: Sequence[MelSpectrogram], cfg: AnalysisConfig) -> MelStats:
     return MelStats(totals / frames, frames, cfg.fingerprint())
 
 
-def broadcast_mean(stats: MelStats, frames: int, sample_rate: int = 22050,
-                   hop_length: int = 256) -> MelSpectrogram:
+def broadcast_mean(stats: MelStats, frames: int, cfg: AnalysisConfig) -> MelSpectrogram:
     """Tile the mean frame over time; the unconditional decoder condition."""
     if frames < 1:
         raise ValueError("frames must be >= 1")
     values = np.tile(stats.mean_frame[None, :], (frames, 1))
-    return MelSpectrogram(values, sample_rate, hop_length, stats.mean_frame.size)
+    return MelSpectrogram(values, cfg.sample_rate, cfg.hop_length, stats.mean_frame.size)
 
 
 def save_mel_stats(path, stats: MelStats) -> None:
-    mean32 = stats.mean_frame.astype("<f4")
-    with open(path, "wb") as f:
-        f.write(MELSTATS_MAGIC)
-        f.write(struct.pack("<II", MELSTATS_VERSION, mean32.size))
-        f.write(struct.pack("<Q", stats.frame_count))
-        f.write(stats.fingerprint)
-        f.write(mean32.tobytes())
+    """Write a checkpoint container: frame count and hex config fingerprint as
+    metadata, the mean frame as the float32 tensor ``mean``."""
+    save_checkpoint(path, {"frame_count": stats.frame_count, "fingerprint": stats.fingerprint.hex()},
+                    {"mean": stats.mean_frame})
 
 
 def load_mel_stats(path) -> MelStats:
+    """Read what ``save_mel_stats`` wrote; any fault is an AudioFormatError naming ``path``."""
     try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as exc:
-        raise AudioFormatError(f"cannot read {path}: {exc}") from exc
-    if blob[:8] != MELSTATS_MAGIC:
-        raise AudioFormatError(f"{path}: not a MELSTATS file")
-    if len(blob) < 56:
-        raise AudioFormatError(f"{path}: truncated MELSTATS header ({len(blob)} of 56 bytes)")
-    version, n_mels = struct.unpack_from("<II", blob, 8)
-    if version != MELSTATS_VERSION:
-        raise AudioFormatError(f"{path}: unsupported MELSTATS version {version}")
-    if len(blob) != 56 + 4 * n_mels:
-        raise AudioFormatError(f"{path}: MELSTATS with {n_mels} mel bins must be "
-                               f"{56 + 4 * n_mels} bytes, got {len(blob)}")
-    (frame_count_,) = struct.unpack_from("<Q", blob, 16)
-    fingerprint = blob[24:56]
-    if frame_count_ == 0:
-        raise AudioFormatError(f"{path}: MELSTATS over zero frames")
-    values = np.frombuffer(blob, dtype="<f4", count=n_mels, offset=56)
-    if not np.all(np.isfinite(values)):
-        raise AudioFormatError(f"{path}: non-finite MELSTATS mean values")
-    return MelStats(values.astype(np.float64), frame_count_, fingerprint)
+        meta, tensors = load_checkpoint(path)
+    except CheckpointError as exc:
+        raise AudioFormatError(f"{exc}; rerun `difftts stats` to rewrite the mel stats") from exc
+    if set(meta) != {"frame_count", "fingerprint"} or set(tensors) != {"mean"}:
+        raise AudioFormatError(f"{path}: not a mel stats file (metadata keys {sorted(meta)})")
+    count, fingerprint, mean = meta["frame_count"], meta["fingerprint"], tensors["mean"]
+    if type(count) is not int or count < 1:
+        raise AudioFormatError(f"{path}: frame_count {count!r} is not a positive integer")
+    if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{64}", fingerprint)):
+        raise AudioFormatError(f"{path}: fingerprint {fingerprint!r} is not 32 bytes in hex")
+    if mean.ndim != 1 or mean.size == 0:
+        raise AudioFormatError(f"{path}: mean has shape {mean.shape}, not a non-empty vector")
+    if not np.isfinite(mean).all():
+        raise AudioFormatError(f"{path}: non-finite mean values")
+    return MelStats(mean.astype(np.float64), count, bytes.fromhex(fingerprint))
 
 
 # -- Griffin-Lim ---------------------------------------------------------------

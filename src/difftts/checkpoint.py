@@ -1,12 +1,12 @@
-"""Versioned binary checkpoint container (format version 2).
+"""Versioned binary container (format version 2) of checkpoints and mel stats.
 
 Layout, little-endian: magic "DVCKPT01", u32 version, u32 metadata length,
 UTF-8 JSON metadata, u32 tensor count, then per tensor: u32 name length,
 UTF-8 name, u32 rank, u64 dims, f32 values; the file ends with the CRC-32
-of every byte before it.  The metadata holds what is not a tensor (the
-trainer keeps its config lines, vocabulary, stats-file path and counters
-there), so strings and integers round-trip exactly; tensors round-trip
-bit-exactly.  Version 1 files are rejected.
+of every byte before it.  The metadata holds what is not a tensor (a
+trainer's config lines, vocabulary, stats-file path and counters; mel stats'
+frame count and config fingerprint), so strings and integers round-trip
+exactly; tensors round-trip bit-exactly.  Version 1 files are rejected.
 """
 
 from __future__ import annotations

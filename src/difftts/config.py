@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .audio import AnalysisConfig
+from .textfront import MODES
 
 
 class ConfigError(ValueError):
@@ -100,7 +101,7 @@ class Config:
     token_mode: str = "characters"
 
     def __post_init__(self):
-        if self.token_mode not in ("characters", "phonemes"):
+        if self.token_mode not in MODES:
             raise ConfigError(f"unknown token_mode {self.token_mode!r}")
 
     @property

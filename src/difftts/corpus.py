@@ -7,6 +7,7 @@ from pathlib import Path
 
 from .audio import MelSpectrogram, load_wav, resample, wav_to_mel
 from .config import Config
+from .durpred import ReferenceUnavailableError
 
 
 class CorpusError(ValueError):
@@ -78,6 +79,5 @@ def require_reference_material(utterances: list[Utterance]) -> None:
         counts[utt.speaker] = counts.get(utt.speaker, 0) + 1
     starved = sorted(s for s, n in counts.items() if n < 2)
     if starved:
-        from .durpred import ReferenceUnavailableError
         raise ReferenceUnavailableError(
             "speakers with a single utterance and no disjoint region: " + ", ".join(starved))

@@ -23,9 +23,6 @@ class Parameter:
     def value(self) -> np.ndarray:
         return self.tensor.data
 
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
-
 
 class ParamStore:
     """Insertion-ordered registry of parameters, keyed by unique name."""
@@ -55,16 +52,17 @@ class ParamStore:
             p.tensor.zero_grad()
 
 
+# Adam's moment decays and denominator floor; layer_norm's variance floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+LN_EPS = 1e-5
+
+
 class Adam:
     """Adam with bias correction; state is exposed for checkpointing."""
 
-    def __init__(self, store: ParamStore, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.value) for name, p in store.items()}
         self.v = {name: np.zeros_like(p.value) for name, p in store.items()}
@@ -78,29 +76,26 @@ class Adam:
                 raise NumericError(f"non-finite gradient for parameter {name} "
                                    f"in Adam update {self.t + 1}")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.store.items():
             g = p.tensor.grad
             if g is None:
                 continue
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.tensor.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.tensor.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 # -- layer ops ----------------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    y = x @ w
-    if b is not None:
-        y = y + b
-    return y
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return x @ w + b
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -118,7 +113,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _node(out.astype(x.data.dtype, copy=False), (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine rescale.
 
     ``x`` is rows x C or batch x rows x C; rows are normalized over axis -1.
@@ -132,7 +127,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
     _check_op("layer_norm", "row variance", var, (x, gain, bias))
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
@@ -168,10 +163,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, kernel: int = 3) -> Te
     padded[..., half:half + t, :] = x.data
     cols = np.concatenate([padded[..., k:k + t, :] for k in range(kernel)], axis=-1)
     out = cols @ w.data
-    if b is not None and np.result_type(out, b.data) == out.dtype:
+    if b is not None:
         out += b.data
-    elif b is not None:
-        out = out + b.data
 
     def backward(g):
         w._accumulate(cols.reshape(-1, kernel * cin).T @ g.reshape(-1, g.shape[-1]))
@@ -243,7 +236,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return out
 
 
-def sinusoidal_embedding(t: float, dim: int, dtype=np.float64) -> np.ndarray:
+def sinusoidal_embedding(t: float, dim: int, dtype) -> np.ndarray:
     """Classic sin/cos position features for a scalar diffusion time."""
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
@@ -257,12 +250,9 @@ def sinusoidal_embedding(t: float, dim: int, dtype=np.float64) -> np.ndarray:
 # -- initializers --------------------------------------------------------
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
-           shape: tuple[int, ...] | None = None) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     scale = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-scale, scale, size=shape)
+    return rng.uniform(-scale, scale, size=(fan_in, fan_out))
 
 
 def normal_init(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> np.ndarray:

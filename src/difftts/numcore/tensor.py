@@ -113,20 +113,18 @@ def run_checked(forward: Callable[[], object]):
     raise error
 
 
-def _coerce(data) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.dtype not in _FLOAT_DTYPES:
-        arr = arr.astype(np.float64)
-    return arr
-
-
 class Tensor:
     """Float array plus autodiff bookkeeping."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self._init(_check_finite(_coerce(data)), requires_grad)
+        # a leaf wraps outside data (lists, numbers, integer arrays), cast to
+        # float64 unless already float; op outputs are float arrays already
+        data = np.asarray(data)
+        if data.dtype not in _FLOAT_DTYPES:
+            data = data.astype(np.float64)
+        self._init(_check_finite(data), requires_grad)
 
     def _init(self, data: np.ndarray, requires_grad: bool) -> None:
         self.data = data
@@ -142,9 +140,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -227,7 +222,6 @@ def _wrap(x, like: Tensor) -> Tensor:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     """An op's output, checked only in a replay; ``backward``'s enclosing function names the op."""
-    data = _coerce(data)
     if _check_ops:
         op = backward.__qualname__.split(".")[0]
         if op not in _MOVES:

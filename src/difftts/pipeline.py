@@ -27,7 +27,7 @@ _INIT, _ORDER, _STEP, _CROP, _SAMPLE = range(5)
 class TTSModel:
     """Parameter store plus config/vocab; everything forward passes need."""
 
-    def __init__(self, cfg: Config, vocab: Vocabulary, seed: int = 0):
+    def __init__(self, cfg: Config, vocab: Vocabulary, seed: int):
         self.cfg = cfg
         self.vocab = vocab
         self.store = nc.ParamStore()
@@ -244,8 +244,7 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
 
     durations, frame_mu = nc.run_checked(front_end)
     e_s = speaker.embed_baseline(store, ref_mel)
-    c_mel = broadcast_mean(stats, frame_mu.shape[0], cfg.audio.sample_rate,
-                           cfg.audio.hop_length).values
+    c_mel = broadcast_mean(stats, frame_mu.shape[0], cfg.audio).values
     mel_values = diffusion.reverse_sample(
         store, frame_mu, e_s.vector, guide, cfg.schedule, cfg,
         seed=[seed, _SAMPLE], cond_mel=c_mel)

@@ -48,7 +48,7 @@ def _pool_stats(mel: MelSpectrogram) -> np.ndarray:
 def embed_tensor(store: nc.ParamStore, mel: MelSpectrogram) -> nc.Tensor:
     """Differentiable embedding as a graph tensor (training path)."""
     stats = nc.Tensor(_pool_stats(mel).astype(store.dtype))
-    raw = stats.reshape(1, -1) @ store["spk.w"].tensor + store["spk.b"].tensor
+    raw = nc.linear(stats.reshape(1, -1), store["spk.w"].tensor, store["spk.b"].tensor)
     return nc.l2_normalize(raw.reshape(-1))
 
 

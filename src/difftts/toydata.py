@@ -51,8 +51,8 @@ def default_voices(n_speakers: int = 2) -> list[SpeakerVoice]:
     return voices
 
 
-def render_text(voice: SpeakerVoice, text: str, sample_rate: int, amp: float = 0.35) -> np.ndarray:
-    """One tone segment per character, with short fades to avoid clicks."""
+def render_text(voice: SpeakerVoice, text: str, sample_rate: int) -> np.ndarray:
+    """One tone segment per character at amplitude 0.35, with short fades to avoid clicks."""
     pieces = []
     base_amps = voice.harmonic_amps()
     for ch in text:
@@ -78,7 +78,7 @@ def render_text(voice: SpeakerVoice, text: str, sample_rate: int, amp: float = 0
             seg[:fade] *= ramp
             seg[-fade:] *= ramp[::-1]
         pieces.append(seg)
-    return amp * np.concatenate(pieces)
+    return 0.35 * np.concatenate(pieces)
 
 
 def random_text(rng: np.random.Generator, seconds: float, tempo: float = 1.0) -> str:
@@ -94,8 +94,9 @@ def random_text(rng: np.random.Generator, seconds: float, tempo: float = 1.0) ->
 
 
 def make_corpus(corpus_dir, n_speakers: int = 2, utts_per_speaker: int = 4,
-                seconds: float = 5.0, sample_rate: int = 22050, seed: int = 0) -> list[str]:
-    """Write wav/txt pairs plus speakers.tsv; returns the utterance ids."""
+                seconds: float = 5.0, seed: int = 0) -> list[str]:
+    """Write 22.05 kHz wav/txt pairs plus speakers.tsv; returns the utterance ids."""
+    sample_rate = 22050
     root = Path(corpus_dir)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -1,12 +1,13 @@
 import dataclasses
 import inspect
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from difftts import audio, toydata
+from difftts import audio, checkpoint, toydata
 
 
 CFG = audio.AnalysisConfig()
@@ -266,11 +267,14 @@ def test_mean_mel_config_mismatch():
 
 def test_broadcast_mean():
     stats = audio.MelStats(np.arange(80.0), 10, CFG.fingerprint())
-    one = audio.broadcast_mean(stats, 1)
+    one = audio.broadcast_mean(stats, 1, CFG)
     assert one.values.shape == (1, 80)
-    ten = audio.broadcast_mean(stats, 10)
+    ten = audio.broadcast_mean(stats, 10, CFG)
     assert ten.values.shape == (10, 80)
     np.testing.assert_array_equal(ten.values - stats.mean_frame[None, :], np.zeros((10, 80)))
+    # the frames carry the config's rate and hop, not the 22.05 kHz / 256 defaults
+    toy = audio.broadcast_mean(stats, 3, dataclasses.replace(CFG, hop_length=512))
+    assert (toy.sample_rate, toy.hop_length) == (22050, 512)
 
 
 def test_mel_stats_file_round_trip(tmp_path):
@@ -291,47 +295,114 @@ def test_mel_stats_rerun_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("size", [12, 30, 100, 375, 377])
-def test_mel_stats_rejects_wrong_length(tmp_path, size):
-    # an 80-bin file is 56 header bytes + 320 value bytes = 376
-    stats = audio.MelStats(np.zeros(80), 1, CFG.fingerprint())
-    p = tmp_path / "stats.bin"
-    audio.save_mel_stats(p, stats)
-    p.write_bytes(p.read_bytes()[:size].ljust(size, b"\0"))
-    with pytest.raises(audio.AudioFormatError):
-        audio.load_mel_stats(p)
-
-
 def test_mel_stats_unreadable_file_names_the_file(tmp_path):
     with pytest.raises(audio.AudioFormatError, match="absent.bin"):
         audio.load_mel_stats(tmp_path / "absent.bin")
 
 
+# Each content test below writes a well-formed container, so the CRC passes
+# and only the stats reader's own checks can refuse it.
+
+def save_stats_container(path, mean=np.zeros(80), **meta):
+    checkpoint.save_checkpoint(path, {"frame_count": 1, "fingerprint": CFG.fingerprint().hex()}
+                               | meta, {"mean": mean})
+    return path
+
+
+def test_mel_stats_zero_frame_count_names_the_file(tmp_path):
+    with pytest.raises(audio.AudioFormatError, match=r"zero\.bin: frame_count 0 "):
+        audio.load_mel_stats(save_stats_container(tmp_path / "zero.bin", frame_count=0))
+
+
+@pytest.mark.parametrize("count", [-1, 1.0, 1.5, "1", True, None, [1]],
+                         ids=["negative", "float", "fraction", "string", "bool", "null", "list"])
+def test_mel_stats_count_that_is_not_a_positive_integer_names_the_file(tmp_path, count):
+    with pytest.raises(audio.AudioFormatError, match=r"count\.bin: frame_count "):
+        audio.load_mel_stats(save_stats_container(tmp_path / "count.bin", frame_count=count))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mel_stats_non_finite_mean_names_the_file(tmp_path, bad):
+    mean = np.zeros(80)
+    mean[3] = bad
+    with pytest.raises(audio.AudioFormatError, match=r"nan\.bin: non-finite"):
+        audio.load_mel_stats(save_stats_container(tmp_path / "nan.bin", mean))
+
+
+@pytest.mark.parametrize("size", [12, 30, 100, 375, 377])
+def test_mel_stats_rejects_wrong_length(tmp_path, size):
+    # the config fingerprint is the one field of fixed length: a 32-byte SHA-256
+    fingerprint = bytes(range(256)) * 2
+    p = save_stats_container(tmp_path / "length.bin", fingerprint=fingerprint[:size].hex())
+    with pytest.raises(audio.AudioFormatError, match=r"length\.bin: fingerprint "):
+        audio.load_mel_stats(p)
+
+
+@pytest.mark.parametrize("fingerprint", [None, 32, "", "g" * 64, "AB" * 32, " " + "ab" * 32],
+                         ids=["null", "integer", "empty", "not-hex", "upper-case", "space"])
+def test_mel_stats_fingerprint_that_is_not_hex_names_the_file(tmp_path, fingerprint):
+    p = save_stats_container(tmp_path / "hex.bin", fingerprint=fingerprint)
+    with pytest.raises(audio.AudioFormatError, match=r"hex\.bin: fingerprint "):
+        audio.load_mel_stats(p)
+
+
+@pytest.mark.parametrize("shape", [(0,), (1, 80), (80, 1), (2, 2, 20)],
+                         ids=["empty", "row", "column", "3-d"])
+def test_mel_stats_mean_that_is_not_a_vector_names_the_file(tmp_path, shape):
+    p = save_stats_container(tmp_path / "shape.bin", np.zeros(shape))
+    with pytest.raises(audio.AudioFormatError, match=r"shape\.bin: mean has shape "):
+        audio.load_mel_stats(p)
+
+
+def test_mel_stats_missing_or_extra_fields_name_the_file(tmp_path):
+    fields = {"frame_count": 1, "fingerprint": CFG.fingerprint().hex()}
+    cases = [({"frame_count": 1}, {"mean": np.zeros(80)}),
+             (fields, {}),
+             (fields | {"melstats": ""}, {"mean": np.zeros(80)}),
+             (fields, {"mean": np.zeros(80), "std": np.ones(80)})]
+    for i, (meta, tensors) in enumerate(cases):
+        p = tmp_path / f"fields{i}.bin"
+        checkpoint.save_checkpoint(p, meta, tensors)
+        with pytest.raises(audio.AudioFormatError, match=rf"fields{i}\.bin: not a mel stats file"):
+            audio.load_mel_stats(p)
+
+
+def test_mel_stats_in_the_old_melstats_format_are_refused(tmp_path):
+    # the former layout: magic, u32 version 1, u32 n_mels, u64 frame count,
+    # 32-byte fingerprint, float32 means
+    p = tmp_path / "old.bin"
+    p.write_bytes(b"MELSTATS" + struct.pack("<IIQ", 1, 80, 1) + CFG.fingerprint()
+                  + np.zeros(80, dtype="<f4").tobytes())
+    with pytest.raises(audio.AudioFormatError, match=r"old\.bin: .*rerun `difftts stats`"):
+        audio.load_mel_stats(p)
+
+
+def test_mel_stats_write_replaces_the_file_atomically(tmp_path, monkeypatch):
+    p = tmp_path / "stats.bin"
+    audio.save_mel_stats(p, audio.MelStats(np.zeros(80), 1, CFG.fingerprint()))
+    before = p.read_bytes()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "replace", fail)
+    with pytest.raises(OSError):
+        audio.save_mel_stats(p, audio.MelStats(np.ones(80), 2, CFG.fingerprint()))
+    assert p.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [p]
+
+
 @pytest.fixture(scope="module")
 def stats_blob(tmp_path_factory):
-    # 4 mel bins: 56 header bytes + 16 value bytes; single-byte changes can
-    # zero the frame count (1) and make 1.25 (0x3FA00000) a NaN
-    p = tmp_path_factory.mktemp("melstats") / "small.bin"
-    audio.save_mel_stats(p, audio.MelStats(np.array([-2.0, 0.5, 1.25, 3.0]), 1, CFG.fingerprint()))
+    p = tmp_path_factory.mktemp("melstats") / "stats80.bin"
+    mean = np.random.default_rng(6).standard_normal(80)
+    audio.save_mel_stats(p, audio.MelStats(mean, 12345, CFG.fingerprint()))
     return p.read_bytes()
 
 
 def _load_stats_bytes(path, blob):
     path.write_bytes(blob)
     return audio.load_mel_stats(path)
-
-
-def test_mel_stats_zero_frame_count_names_the_file(stats_blob, tmp_path):
-    blob = stats_blob[:16] + bytes(8) + stats_blob[24:]
-    with pytest.raises(audio.AudioFormatError, match="zero.bin"):
-        _load_stats_bytes(tmp_path / "zero.bin", blob)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_mel_stats_non_finite_mean_names_the_file(stats_blob, tmp_path, bad):
-    blob = stats_blob[:60] + np.array([bad], dtype="<f4").tobytes() + stats_blob[64:]
-    with pytest.raises(audio.AudioFormatError, match="nan.bin"):
-        _load_stats_bytes(tmp_path / "nan.bin", blob)
 
 
 def test_mel_stats_every_truncation_is_rejected(stats_blob, tmp_path):
@@ -348,18 +419,15 @@ def test_mel_stats_appended_bytes_are_rejected(stats_blob, tmp_path_factory, ext
         _load_stats_bytes(tmp_path_factory.getbasetemp() / "long.bin", stats_blob + extra)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_mel_stats_single_byte_change_loads_or_raises_typed(stats_blob, tmp_path_factory, data):
-    pos = data.draw(st.integers(0, len(stats_blob) - 1), label="pos")
-    blob = bytearray(stats_blob)
-    blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
-    try:
-        stats = _load_stats_bytes(tmp_path_factory.getbasetemp() / "flipped.bin", bytes(blob))
-    except audio.AudioFormatError:
-        return
-    assert stats.frame_count > 0
-    assert np.all(np.isfinite(stats.mean_frame))
+def test_mel_stats_single_byte_change_raises_typed(stats_blob, tmp_path):
+    # every single-bit flip, and the all-bits flip, at every byte of an 80-bin file
+    p = tmp_path / "flipped.bin"
+    for pos in range(len(stats_blob)):
+        for xor in (1, 2, 4, 8, 16, 32, 64, 128, 255):
+            blob = bytearray(stats_blob)
+            blob[pos] ^= xor
+            with pytest.raises(audio.AudioFormatError):
+                _load_stats_bytes(p, bytes(blob))
 
 
 # -- griffin-lim ---------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from difftts import checkpoint, cli, pipeline, toydata
-from difftts.audio import (AnalysisConfig, ConfigMismatchError, MelStats, load_mel_stats, load_wav,
-                           resample, save_mel_stats)
+from difftts.audio import (AnalysisConfig, AudioFormatError, ConfigMismatchError, MelStats,
+                           load_mel_stats, load_wav, resample, save_mel_stats)
 from difftts.checkpoint import CheckpointError, load_checkpoint
 from difftts.config import Config, GuidanceConfig, parse_config
 from difftts.corpus import CorpusError, load_corpus, read_speaker_map
@@ -170,6 +170,21 @@ def foreign_stats(path):
     """Mel stats stamped with another analysis config (hop 256, not the tiny hop 512)."""
     save_mel_stats(path, MelStats(np.zeros(80), 1, AnalysisConfig().fingerprint()))
     return path
+
+
+def test_model_checkpoint_passed_as_mel_stats_names_the_file(tmp_path):
+    # both kinds share one container, so the readers tell them apart by content
+    cfg = parse_config(TINY_CFG_TEXT)
+    ck = tmp_path / "model.ckpt"
+    pipeline.save_trainer(ck, pipeline.new_trainer(cfg, build_vocab(["ab"])), "")
+    with pytest.raises(AudioFormatError, match=r"model\.ckpt: not a mel stats file"):
+        load_mel_stats(ck)
+
+
+def test_mel_stats_passed_as_checkpoint_names_the_file(tmp_path):
+    stats = foreign_stats(tmp_path / "melstats.bin")
+    with pytest.raises(CheckpointError, match=r"melstats\.bin: bad checkpoint metadata"):
+        pipeline.load_trainer(stats)
 
 
 def test_train_rejects_stats_from_another_config(corpus_dir, cfg_file, tmp_path, capsys):
