@@ -51,7 +51,6 @@ class AnalysisConfig:
     sample_rate: int = 22050
     n_fft: int = 1024
     hop_length: int = 256
-    win_length: int = 1024
     n_mels: int = 80
     fmin: float = 0.0
     fmax: float = 8000.0
@@ -59,15 +58,13 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.sample_rate <= 0 or self.n_fft <= 0 or self.hop_length <= 0:
             raise ValueError("analysis sizes must be positive")
-        if self.win_length > self.n_fft:
-            raise ValueError("win_length may not exceed n_fft")
         if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
             raise ValueError("need 0 <= fmin < fmax <= Nyquist")
 
     def fingerprint(self) -> bytes:
         text = "|".join(
             f"{k}={getattr(self, k)!r}"
-            for k in ("sample_rate", "n_fft", "hop_length", "win_length", "n_mels", "fmin", "fmax")
+            for k in ("sample_rate", "n_fft", "hop_length", "n_mels", "fmin", "fmax")
         )
         return hashlib.sha256(text.encode("utf-8")).digest()
 
@@ -193,13 +190,9 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 
 
 def _window(cfg: AnalysisConfig) -> np.ndarray:
-    # periodic Hann, zero-padded to n_fft if win_length is shorter
-    n = cfg.win_length
-    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    if n < cfg.n_fft:
-        pad = (cfg.n_fft - n) // 2
-        win = np.pad(win, (pad, cfg.n_fft - n - pad))
-    return win
+    # periodic Hann over the whole FFT frame
+    n = cfg.n_fft
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
 def frame_count(n_samples: int, hop_length: int) -> int:

@@ -50,7 +50,7 @@ def save_checkpoint(path, metadata: dict, tensors: dict[str, np.ndarray]) -> Non
                 + struct.pack("<I", len(tensors)))
             for name, value in tensors.items():
                 raw = name.encode("utf-8")
-                arr = np.ascontiguousarray(value, dtype="<f4")
+                arr = np.asarray(value, dtype="<f4", order="C")  # keeps rank 0
                 put(struct.pack("<I", len(raw)) + raw
                     + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
                 put(arr)

@@ -16,11 +16,7 @@ from .textfront import build_vocab
 
 
 def _config_from_args(args) -> Config:
-    cfg = load_config(args.config) if args.config else Config()
-    if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
-    return cfg
+    return load_config(args.config) if args.config else Config()
 
 
 def _default_stats_path(corpus_dir) -> Path:
@@ -77,8 +73,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    trainer, stats_ref = pipeline.load_trainer(args.checkpoint,
-                                               load_config(args.config) if args.config else None)
+    trainer, stats_ref = pipeline.load_trainer(args.checkpoint)
     if args.stats:
         stats_path = Path(args.stats)
     else:  # a stored relative path is relative to the checkpoint's directory
@@ -132,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on a corpus directory")
     p.add_argument("--corpus", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--stats", help="mel stats file (computed if absent)")
     p.add_argument("--log", help="loss log path")
@@ -145,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True)
     p.add_argument("--ref", required=True, help="reference WAV of the target speaker")
     p.add_argument("--out", required=True, help="output WAV path")
-    p.add_argument("--config")
     p.add_argument("--gamma", type=float,
                    help="guidance scale; default: the config's guidance.gamma (0 disables)")
     p.add_argument("--steps", type=int,

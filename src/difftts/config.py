@@ -19,19 +19,18 @@ class ModelConfig:
     d_model: int = 128
     n_enc_blocks: int = 4
     n_heads: int = 2
-    dur_heads: int = 1
     conv_kernel: int = 3
     d_spk: int = 64
     dec_channels: int = 64
     ref_seconds: float = 2.0
 
     def __post_init__(self):
-        # positive first: the divisibility test below divides by the head counts
-        for name in ("d_model", "n_enc_blocks", "n_heads", "dur_heads", "d_spk", "dec_channels"):
+        # positive first: the divisibility test below divides by the head count
+        for name in ("d_model", "n_enc_blocks", "n_heads", "d_spk", "dec_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.d_model % self.n_heads != 0 or self.d_model % self.dur_heads != 0:
-            raise ConfigError("d_model must be divisible by the head counts")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError("d_model must be divisible by the head count")
         if self.conv_kernel % 2 == 0 or self.conv_kernel < 1:
             raise ConfigError("conv_kernel must be odd and positive")
         if self.ref_seconds <= 0:

@@ -22,12 +22,16 @@ class Utterance:
     mel: MelSpectrogram
 
 
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def read_speaker_map(path) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read speaker map {path}: {exc}") from exc
+    lines = _read_text(path, "speaker map").splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -57,7 +61,7 @@ def load_corpus(corpus_dir, cfg: Config) -> list[Utterance]:
         wave = load_wav(wav_path)
         if wave.sample_rate != cfg.audio.sample_rate:
             wave = resample(wave, cfg.audio.sample_rate)
-        text = txt_path.read_text(encoding="utf-8").strip()
+        text = _read_text(txt_path, "transcript").strip()
         if not text:
             raise CorpusError(f"empty transcript {txt_path}")
         utterances.append(Utterance(uid, speakers[uid], text, wav_to_mel(wave, cfg.audio)))

@@ -115,12 +115,12 @@ def cross_attend(store: nc.ParamStore, text_emb: nc.Tensor, ref: ReferenceMel,
     """Attend text queries over the projected reference frames.
 
     The reference serves as both keys and values after one learned linear
-    projection to model width, split into ``cfg.model.dur_heads`` heads.
+    projection to model width, in one attention head.  ``cfg`` is not read.
     """
     m = nc.Tensor(ref.mel.values.astype(store.dtype))
     proj = nc.linear(m, store["dur.ref.w"].tensor, store["dur.ref.b"].tensor)
     q = text_emb @ store["dur.query.w"].tensor
-    return nc.multi_head_attention(q, proj, proj, cfg.model.dur_heads)
+    return nc.scaled_dot_attention(q, proj, proj)
 
 
 def predict_log_durations(store: nc.ParamStore, attended: nc.Tensor, text_emb: nc.Tensor,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NumericError, ShapeError, Tensor, _check_op, _node, concat_cols, slice_cols
+from .tensor import NumericError, ShapeError, Tensor, _check_op, _node
 
 
 class Parameter:
@@ -216,24 +216,6 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Single-head scaled dot-product attention."""
     scores = (q @ k.T) * (1.0 / np.sqrt(q.shape[1]))
     return softmax_rows(scores) @ v
-
-
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Attention per column block of width d/heads; head outputs side by side.
-
-    ``q``, ``k`` and ``v`` are already projected; head h reads columns
-    h*d_head:(h+1)*d_head of each and is scaled by 1/sqrt(d_head).
-    """
-    d = q.shape[1]
-    if heads < 1 or d % heads or k.shape[1] != d or v.shape[1] != d:
-        raise ShapeError(f"cannot split widths {d}, {k.shape[1]}, {v.shape[1]} into {heads} heads")
-    d_head = d // heads
-    out = None
-    for lo in range(0, d, d_head):
-        piece = scaled_dot_attention(slice_cols(q, lo, lo + d_head), slice_cols(k, lo, lo + d_head),
-                                     slice_cols(v, lo, lo + d_head))
-        out = piece if out is None else concat_cols(out, piece)
-    return out
 
 
 def sinusoidal_embedding(t: float, dim: int, dtype) -> np.ndarray:

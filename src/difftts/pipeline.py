@@ -46,8 +46,12 @@ class TTSModel:
 class Trainer:
     model: TTSModel
     opt: nc.Adam
-    step: int = 0
     epoch: int = 0
+
+    @property
+    def step(self) -> int:
+        """Optimizer steps taken: Adam's own count."""
+        return self.opt.t
 
 
 def new_trainer(cfg: Config, vocab: Vocabulary,
@@ -118,8 +122,8 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
     batch_size = min(cfg.train.batch_size, n)
     last_epoch = trainer.epoch + n_epochs
     for _ in range(n_epochs):
-        # the counters advance only once their work is done, so a refused
-        # step leaves them in agreement with the parameters and Adam's count
+        # the epoch advances only once its work is done, so a refused step
+        # leaves it in agreement with the parameters and Adam's step count
         epoch = trainer.epoch + 1
         order = np.random.default_rng([cfg.train.seed, _ORDER, epoch]).permutation(n)
         sums = np.zeros(3)
@@ -131,7 +135,6 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
             model.store.zero_grads()
             loss.backward()
             trainer.opt.step()
-            trainer.step = step
         trainer.epoch = epoch
         enc_m, dur_m, diff_m = (float(v) for v in sums / n)
         lines.append(f"{trainer.epoch},{enc_m!r},{dur_m!r},{diff_m!r},{enc_m + dur_m + diff_m!r}")
@@ -195,7 +198,7 @@ def load_trainer(path, cfg: Config | None = None) -> tuple[Trainer, str]:
         opt.m[name] = record(f"adam.m.{name}", p.value.shape)
         opt.v[name] = record(f"adam.v.{name}", p.value.shape)
     opt.t = step
-    return Trainer(model, opt, step=step, epoch=epoch), stats_path
+    return Trainer(model, opt, epoch=epoch), stats_path
 
 
 # -- synthesis -------------------------------------------------------------------

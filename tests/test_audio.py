@@ -11,8 +11,8 @@ from difftts import audio, checkpoint, toydata
 
 
 CFG = audio.AnalysisConfig()
-SMALL = audio.AnalysisConfig(sample_rate=22050, n_fft=512, hop_length=128,
-                             win_length=512, n_mels=20, fmax=8000.0)
+SMALL = audio.AnalysisConfig(sample_rate=22050, n_fft=512, hop_length=128, n_mels=20,
+                             fmax=8000.0)
 
 
 def sine(freq, seconds, rate, amp=0.5):
@@ -169,7 +169,7 @@ def test_mel_of_silence_is_floor():
 @pytest.mark.parametrize("n_fft", [1023, 1024])
 @pytest.mark.parametrize("n", [4096, 4097])
 def test_stft_frame_count_odd_and_even_fft(n_fft, n):
-    cfg = audio.AnalysisConfig(n_fft=n_fft, win_length=n_fft)
+    cfg = audio.AnalysisConfig(n_fft=n_fft)
     mag = audio.stft_magnitude(np.random.default_rng(n).standard_normal(n), cfg)
     assert mag.shape == (audio.frame_count(n, cfg.hop_length), n_fft // 2 + 1)
 

@@ -17,6 +17,12 @@ def test_round_trip_bit_exact(tmp_path):
         "w1": rng.standard_normal((3, 4)).astype(np.float32),
         "b": rng.standard_normal(7).astype(np.float32),
         "scalar": np.array([3.0], dtype=np.float32),
+        "rank0": np.array(-2.5, dtype=np.float32),
+        "rank3": rng.standard_normal((2, 3, 4)).astype(np.float32),
+        "empty_rows": np.zeros((0, 3), dtype=np.float32),
+        "empty_cols": np.zeros((3, 0), dtype=np.float32),
+        "empty_mid": np.zeros((2, 0, 4), dtype=np.float32),
+        "last": np.ones(2, dtype=np.float32),
     }
     p = tmp_path / "model.ckpt"
     ck.save_checkpoint(p, META, tensors)
@@ -25,6 +31,7 @@ def test_round_trip_bit_exact(tmp_path):
     assert set(back) == set(tensors)
     for name in tensors:
         assert back[name].dtype == np.float32
+        assert back[name].shape == tensors[name].shape, name
         assert np.array_equal(back[name], tensors[name])
         assert back[name].tobytes() == tensors[name].tobytes()
 

@@ -92,6 +92,23 @@ def test_speaker_map_names_a_duplicate_id(tmp_path):
         read_speaker_map(p)
 
 
+def test_speaker_map_not_utf8_names_the_file(tmp_path):
+    toydata.make_corpus(tmp_path / "c", n_speakers=2, utts_per_speaker=2, seconds=1.5, seed=2)
+    p = tmp_path / "c" / "speakers.tsv"
+    p.write_bytes(p.read_bytes().replace(b"spk1", b"spk\xff", 1))
+    for read in (lambda: read_speaker_map(p), lambda: load_corpus(tmp_path / "c", Config())):
+        with pytest.raises(CorpusError, match=r"speaker map .*speakers\.tsv"):
+            read()
+
+
+def test_transcript_not_utf8_names_the_file(tmp_path):
+    toydata.make_corpus(tmp_path / "c", n_speakers=2, utts_per_speaker=2, seconds=1.5, seed=2)
+    p = tmp_path / "c" / "spk0_u0.txt"
+    p.write_bytes(p.read_bytes() + b"\xff")
+    with pytest.raises(CorpusError, match=r"transcript .*spk0_u0\.txt"):
+        load_corpus(tmp_path / "c", Config())
+
+
 def test_train_single_utterance_speaker_fails(tmp_path, cfg_file, capsys):
     toydata.make_corpus(tmp_path / "c", n_speakers=2, utts_per_speaker=1, seconds=1.5, seed=3)
     assert run_cli("train", "--corpus", tmp_path / "c", "--config", cfg_file,
@@ -268,11 +285,30 @@ def test_resume_is_exact_for_large_seeds(corpus_dir, tmp_path, seed):
 
 def test_step_counter_past_float32_precision_survives(corpus_dir, tmp_path):
     trainer, _ = tiny_trainer(corpus_dir)
-    trainer.step, trainer.epoch = 2**24 + 1, 2**24 + 3
+    trainer.opt.t, trainer.epoch = 2**24 + 1, 2**24 + 3
     ck = tmp_path / "m.ckpt"
     pipeline.save_trainer(ck, trainer, "")
     loaded, _ = pipeline.load_trainer(ck)
     assert (loaded.step, loaded.epoch, loaded.opt.t) == (2**24 + 1, 2**24 + 3, 2**24 + 1)
+
+
+def test_checkpoint_with_a_removed_key_names_file_and_key(corpus_dir, tmp_path):
+    # the config lines of a checkpoint written while audio.win_length and
+    # model.dur_heads were still settings
+    trainer, _ = tiny_trainer(corpus_dir)
+    ck = tmp_path / "old.ckpt"
+    pipeline.save_trainer(ck, trainer, "")
+    meta, tensors = load_checkpoint(ck)
+    lines = []
+    for line in meta["config"]:
+        lines.append(line)
+        if line.startswith("audio.hop_length="):
+            lines.append("audio.win_length=1024")
+        if line.startswith("model.n_heads="):
+            lines.append("model.dur_heads=1")
+    checkpoint.save_checkpoint(ck, {**meta, "config": lines}, tensors)
+    with pytest.raises(CheckpointError, match=r"old\.ckpt: .*unknown key 'audio\.win_length'"):
+        pipeline.load_trainer(ck)
 
 
 def test_checkpoint_without_a_defaulted_key_loads(corpus_dir, tmp_path, monkeypatch):
@@ -311,6 +347,18 @@ def test_wrong_record_shape_is_named(corpus_dir, tmp_path):
     pipeline.save_trainer(ck, trainer, "")
     with pytest.raises(CheckpointError, match=r"adam.m.dur.head.b has shape \(3,\)"):
         pipeline.load_trainer(ck)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--corpus", "c", "--out", "m.ckpt", "--seed", "3"],
+    ["synth", "--checkpoint", "m.ckpt", "--text", "ab", "--ref", "r.wav", "--out", "o.wav",
+     "--config", "tiny.cfg"],
+])
+def test_removed_flags_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 # -- synth ------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,23 @@ def test_unknown_key_rejected():
         cf.parse_config("model.what_is_this=3\n")
     with pytest.raises(cf.ConfigError, match="unknown"):
         cf.parse_config("nonsense=3\n")
+
+
+@pytest.mark.parametrize("key", ["model.dur_heads", "audio.win_length"])
+def test_removed_key_names_line_and_key(tmp_path, key):
+    p = tmp_path / "old.cfg"
+    p.write_text(f"train.seed=1\n{key}=1\n", encoding="utf-8")
+    with pytest.raises(cf.ConfigError, match=f"line 2: unknown key '{re.escape(key)}'"):
+        cf.load_config(p)
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config files", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert "train.seed=0" in block
+    cfg = cf.parse_config(block)
+    assert cfg.model.d_model == 128 and cfg.token_mode == "characters"
 
 
 def test_invalid_values_rejected():
@@ -107,7 +127,7 @@ def test_config_single_byte_change_loads_or_raises_config_error(tmp_path_factory
     _load_config_bytes(tmp_path_factory.getbasetemp() / "flipped.cfg", bytes(blob))
 
 
-@pytest.mark.parametrize("line", ["model.n_heads=0", "model.dur_heads=0"])
+@pytest.mark.parametrize("line", ["model.n_heads=0"])
 def test_zero_head_count_raises_config_error(line):
     with pytest.raises(cf.ConfigError, match="positive"):
         cf.parse_config(line + "\n")

@@ -126,14 +126,39 @@ def test_attention_output_is_convex_combination(p, f_ref, seed):
     assert np.all(out.data >= lo - 1e-9) and np.all(out.data <= hi + 1e-9)
 
 
-def test_multi_head_cross_attention_shape():
-    cfg = tiny_config()
-    cfg = type(cfg)(audio=cfg.audio, model=type(cfg.model)(
-        d_model=8, n_enc_blocks=2, n_heads=2, dur_heads=2, d_spk=4, dec_channels=8))
-    store = make_store(cfg)
-    text = nc.Tensor(np.random.default_rng(3).standard_normal((5, 8)))
-    out = durpred.cross_attend(store, text, ref_of(np.random.default_rng(4).standard_normal((7, 6))), cfg)
-    assert out.shape == (5, 8)
+def one_head_formula(store, text_emb, ref):
+    """cross_attend as it was with its one-head split: attention over
+    ``slice_cols(., 0, d)`` copies of the query and the projection."""
+    m = nc.Tensor(ref.mel.values.astype(store.dtype))
+    proj = nc.linear(m, store["dur.ref.w"].tensor, store["dur.ref.b"].tensor)
+    q = text_emb @ store["dur.query.w"].tensor
+    d = q.shape[1]
+    return nc.scaled_dot_attention(nc.slice_cols(q, 0, d), nc.slice_cols(proj, 0, d),
+                                   nc.slice_cols(proj, 0, d))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p,f_ref,d_model", [(1, 1, 8), (5, 12, 8), (23, 172, 128)])
+def test_cross_attend_equals_one_head_formula_bit_for_bit(dtype, p, f_ref, d_model):
+    cfg = tiny_config(n_mels=80, d_model=d_model)
+    store = nc.ParamStore(dtype=dtype)
+    durpred.init_params(store, cfg, np.random.default_rng(p))
+    rng = np.random.default_rng([p, f_ref])
+    ref = ref_of(rng.standard_normal((f_ref, 80)))
+    emb = rng.standard_normal((p, d_model)).astype(dtype)
+    weight = nc.Tensor(rng.standard_normal((p, d_model)).astype(dtype))
+    results = []
+    for forward in (lambda e: durpred.cross_attend(store, e, ref, cfg),
+                    lambda e: one_head_formula(store, e, ref)):
+        store.zero_grads()
+        text = nc.Tensor(emb, requires_grad=True)
+        out = forward(text)
+        (out * weight).sum().backward()
+        grads = {name: prm.tensor.grad.tobytes() for name, prm in store.items()
+                 if prm.tensor.grad is not None}
+        results.append((out.data.dtype, out.data.tobytes(), text.grad.tobytes(), grads))
+    assert set(results[0][3]) == {"dur.ref.w", "dur.ref.b", "dur.query.w"}
+    assert results[0] == results[1]
 
 
 # -- duration head ---------------------------------------------------------------

@@ -138,40 +138,6 @@ def test_softmax_gradient():
     assert err < 1e-6
 
 
-# -- multi-head attention -------------------------------------------------------
-
-def per_head_attention(q, k, v, heads):
-    """numpy oracle: softmax(q_h k_h^T / sqrt(d_head)) v_h per column block."""
-    d_head = q.shape[1] // heads
-    outs = []
-    for h in range(heads):
-        cols = slice(h * d_head, (h + 1) * d_head)
-        logits = q[:, cols] @ k[:, cols].T / np.sqrt(d_head)
-        w = np.exp(logits - logits.max(axis=1, keepdims=True))
-        outs.append((w / w.sum(axis=1, keepdims=True)) @ v[:, cols])
-    return np.concatenate(outs, axis=1)
-
-
-@pytest.mark.parametrize("heads", [1, 2, 4])
-def test_multi_head_attention_matches_per_head_oracle(heads):
-    rng = np.random.default_rng(heads)
-    q, k, v = (t(rng.standard_normal((n, 8))) for n in (5, 6, 6))
-    out = nc.multi_head_attention(q, k, v, heads)
-    np.testing.assert_allclose(out.data, per_head_attention(q.data, k.data, v.data, heads),
-                               rtol=1e-12, atol=1e-12)
-    c = nc.Tensor(rng.standard_normal((5, 8)))
-    err = nc.grad_check(lambda: (nc.multi_head_attention(q, k, v, heads) * c).sum(), [q, k, v])
-    assert err < 1e-6
-
-
-def test_multi_head_attention_rejects_uneven_split():
-    x = t(np.zeros((2, 8)))
-    with pytest.raises(nc.ShapeError):
-        nc.multi_head_attention(x, x, x, 3)
-    with pytest.raises(nc.ShapeError):
-        nc.multi_head_attention(x, t(np.zeros((2, 4))), x, 2)
-
-
 # -- grad_check behaviour -----------------------------------------------------
 
 def test_grad_check_linear_map_is_exact():
