@@ -163,11 +163,12 @@ def _round_half_up(x: float) -> int:
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
-    """Windowed-sinc resampling to target_rate, RESAMPLE_BLOCK outputs at a time."""
+    """Windowed-sinc resampling to target_rate, RESAMPLE_BLOCK outputs at a time;
+    ``w`` itself when it is already at that rate."""
     if target_rate <= 0 or w.sample_rate <= 0:
         raise ValueError("rates must be positive")
     if target_rate == w.sample_rate:
-        return Waveform(w.samples.copy(), w.sample_rate)
+        return w
     ratio = target_rate / w.sample_rate
     out_len = _round_half_up(w.samples.size * ratio)
     # cutoff relative to the source Nyquist; downsampling narrows it
@@ -253,20 +254,15 @@ def _istft_norm(n_frames: int, win: np.ndarray, cfg: AnalysisConfig) -> np.ndarr
     return np.maximum(_overlap_add(wsq, cfg.hop_length), 1e-10)
 
 
-def _istft(spec: np.ndarray, cfg: AnalysisConfig, win: np.ndarray,
-           norm: np.ndarray) -> np.ndarray:
-    """Least-squares inverse STFT (windowed overlap-add / window-square sum).
+def _istft_frames(frames: np.ndarray, cfg: AnalysisConfig, win: np.ndarray,
+                  norm: np.ndarray) -> np.ndarray:
+    """Least-squares inverse STFT (windowed overlap-add / window-square sum)
+    of the inverse-FFT ``frames``, which it windows in place.
 
     ``win`` is ``_window(cfg)`` and ``norm`` is ``_istft_norm`` for this
     frame count; Griffin-Lim builds both once for all of its iterations.
-    A complex64 ``spec`` gives float32 audio, a complex128 one float64.
+    The audio has the dtype of ``frames``.
     """
-    return _istft_frames(np.fft.irfft(spec, n=cfg.n_fft, axis=1), cfg, win, norm)
-
-
-def _istft_frames(frames: np.ndarray, cfg: AnalysisConfig, win: np.ndarray,
-                  norm: np.ndarray) -> np.ndarray:
-    """``_istft`` from the inverse-FFT frames on; windows ``frames`` in place."""
     frames *= win
     out = _overlap_add(frames, cfg.hop_length)
     out /= norm

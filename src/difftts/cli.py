@@ -59,8 +59,8 @@ def cmd_train(args) -> int:
     log_path = Path(args.log) if args.log else Path(args.out).with_suffix(".losses.csv")
     if not args.resume:
         log_path.write_text("", encoding="utf-8")
-    # each call ends where train_epochs writes a checkpoint, so the log holds
-    # exactly the epochs of the checkpoint a resume would start from
+    # train_epochs checkpoints after its last epoch, so ending each call at a
+    # checkpoint_every multiple keeps the log at the epochs a resume starts from
     every, last = cfg.train.checkpoint_every, trainer.epoch + epochs
     while trainer.epoch < last:
         n = min(every - trainer.epoch % every, last - trainer.epoch)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 from .audio import AnalysisConfig
@@ -118,13 +118,8 @@ class Config:
         return lines
 
 
-_SECTIONS = {
-    "audio": AnalysisConfig,
-    "model": ModelConfig,
-    "schedule": NoiseSchedule,
-    "train": TrainConfig,
-    "guidance": GuidanceConfig,
-}
+# every field of Config with a dataclass default is a key=value section
+_SECTIONS = {f.name: f.default_factory for f in fields(Config) if f.default_factory is not MISSING}
 
 
 def _parse_value(key: str, raw: str, kind: type) -> Any:

@@ -58,9 +58,7 @@ def load_corpus(corpus_dir, cfg: Config) -> list[Utterance]:
             raise CorpusError(f"missing audio file {wav_path}")
         if not txt_path.exists():
             raise CorpusError(f"missing transcript {txt_path}")
-        wave = load_wav(wav_path)
-        if wave.sample_rate != cfg.audio.sample_rate:
-            wave = resample(wave, cfg.audio.sample_rate)
+        wave = resample(load_wav(wav_path), cfg.audio.sample_rate)
         text = _read_text(txt_path, "transcript").strip()
         if not text:
             raise CorpusError(f"empty transcript {txt_path}")

@@ -213,13 +213,12 @@ def score_from_noise(eps_hat: np.ndarray, t: float, schedule: NoiseSchedule) -> 
 
 
 def diffusion_loss(store: nc.ParamStore, x0: np.ndarray, mu: nc.Tensor,
-                   speaker, rng: np.random.Generator,
-                   schedule: NoiseSchedule, cfg: Config) -> nc.Tensor:
-    """Noise-prediction MSE at a time drawn uniformly from [t_min, 1)."""
-    t = float(rng.uniform(schedule.t_min, 1.0))
+                   speaker, rng: np.random.Generator, cfg: Config) -> nc.Tensor:
+    """Noise-prediction MSE at a time drawn uniformly from [t_min, 1) of ``cfg.schedule``."""
+    t = float(rng.uniform(cfg.schedule.t_min, 1.0))
     eps = rng.standard_normal(x0.shape).astype(store.dtype)
     x_t = forward_diffuse(nc.Tensor(np.asarray(x0, dtype=store.dtype)), mu, t,
-                          nc.Tensor(eps), schedule)
+                          nc.Tensor(eps), cfg.schedule)
     eps_hat = score_net(store, x_t, t, ScoreCondition(mu, speaker), cfg)
     diff = eps_hat - nc.Tensor(eps)
     return (diff * diff).mean()

@@ -72,20 +72,18 @@ def _utterance_losses(model: TTSModel, utt: Utterance, seq: PhonemeSequence,
     cfg = model.cfg
     store = model.store
     enc = encoder.encode(store, seq, cfg)
-    mel64 = utt.mel.values
     mu = nc.require_finite(enc.mu, "encoder mel means").data
-    log_prior = aligner.gaussian_log_prior(mu.astype(np.float64), mel64)
-    align = aligner.mas(log_prior)
+    align = aligner.mas(aligner.gaussian_log_prior(mu, utt.mel.values))
     frame_mu = encoder.expand_mu(enc, align.durations)
-    l_enc = encoder.encoder_prior_loss(frame_mu, mel64.astype(store.dtype))
+    mel = utt.mel.values.astype(store.dtype)
+    l_enc = encoder.encoder_prior_loss(frame_mu, mel)
     ref = durpred.crop_reference(pool, utt.utterance_id, rng, model.cfg.ref_frames,
                                  speaker=utt.speaker)
     att = durpred.cross_attend(store, enc.embeddings, ref, cfg)
     log_d = durpred.predict_log_durations(store, att, enc.embeddings, cfg)
     l_dur = durpred.duration_loss(log_d, align.durations)
     e_s = speaker.embed_tensor(store, utt.mel)
-    l_diff = diffusion.diffusion_loss(store, mel64.astype(store.dtype), frame_mu, e_s,
-                                      rng, cfg.schedule, cfg)
+    l_diff = diffusion.diffusion_loss(store, mel, frame_mu, e_s, rng, cfg)
     return l_enc, l_dur, l_diff
 
 
@@ -111,7 +109,10 @@ def _step_loss(model: TTSModel, step: int, batch: np.ndarray, utterances: list[U
 def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
                  log_lines: list[str] | None = None,
                  checkpoint_path=None, stats_path: str = "") -> list[str]:
-    """Run n_epochs more epochs; returns the per-epoch loss-log lines."""
+    """Run n_epochs more epochs; returns the per-epoch loss-log lines.
+
+    Given ``checkpoint_path``, saves the trainer once, after the last epoch.
+    """
     require_reference_material(utterances)
     model = trainer.model
     cfg = model.cfg
@@ -120,7 +121,6 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
     lines = log_lines if log_lines is not None else []
     n = len(utterances)
     batch_size = min(cfg.train.batch_size, n)
-    last_epoch = trainer.epoch + n_epochs
     for _ in range(n_epochs):
         # the epoch advances only once its work is done, so a refused step
         # leaves it in agreement with the parameters and Adam's step count
@@ -138,9 +138,8 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
         trainer.epoch = epoch
         enc_m, dur_m, diff_m = (float(v) for v in sums / n)
         lines.append(f"{trainer.epoch},{enc_m!r},{dur_m!r},{diff_m!r},{enc_m + dur_m + diff_m!r}")
-        if checkpoint_path is not None and (
-                trainer.epoch % cfg.train.checkpoint_every == 0 or trainer.epoch == last_epoch):
-            save_trainer(checkpoint_path, trainer, stats_path)
+    if checkpoint_path is not None:
+        save_trainer(checkpoint_path, trainer, stats_path)
     return lines
 
 
@@ -155,7 +154,7 @@ def save_trainer(path, trainer: Trainer, stats_path: str = "") -> None:
     for name in model.store.names():
         tensors[f"adam.m.{name}"] = trainer.opt.m[name]
         tensors[f"adam.v.{name}"] = trainer.opt.v[name]
-    metadata = {"config": model.cfg.to_lines(), "vocab": model.vocab.symbols_in_id_order(),
+    metadata = {"config": model.cfg.to_lines(), "vocab": model.vocab.symbols,
                 "melstats": str(stats_path), "step": trainer.step, "epoch": trainer.epoch}
     checkpoint.save_checkpoint(path, metadata, tensors)
 
@@ -169,7 +168,7 @@ def load_trainer(path, cfg: Config | None = None) -> tuple[Trainer, str]:
     meta, tensors = checkpoint.load_checkpoint(path)
     try:
         stored_cfg = parse_config("\n".join(meta["config"]))
-        vocab = Vocabulary({s: i + 2 for i, s in enumerate(meta["vocab"])})
+        vocab = Vocabulary(meta["vocab"])
         step, epoch, stats_path = meta["step"], meta["epoch"], meta["melstats"]
     except (KeyError, TypeError, ValueError) as exc:
         raise checkpoint.CheckpointError(f"{path}: bad checkpoint metadata: {exc!r}") from exc
@@ -182,8 +181,8 @@ def load_trainer(path, cfg: Config | None = None) -> tuple[Trainer, str]:
                  for have, want in zip(stored_cfg.to_lines(), cfg.to_lines()) if have != want]
         raise checkpoint.CheckpointError(
             f"{path}: the checkpoint was written with different settings: " + ", ".join(diffs))
-    model = TTSModel(cfg, vocab, seed=cfg.train.seed)
-    opt = nc.Adam(model.store, lr=cfg.train.learning_rate)
+    trainer = new_trainer(cfg, vocab)
+    model, opt = trainer.model, trainer.opt
 
     def record(key: str, shape: tuple[int, ...]) -> np.ndarray:
         if key not in tensors:
@@ -197,8 +196,8 @@ def load_trainer(path, cfg: Config | None = None) -> tuple[Trainer, str]:
         p.tensor.data = record(f"param.{name}", p.value.shape)
         opt.m[name] = record(f"adam.m.{name}", p.value.shape)
         opt.v[name] = record(f"adam.v.{name}", p.value.shape)
-    opt.t = step
-    return Trainer(model, opt, epoch=epoch), stats_path
+    opt.t, trainer.epoch = step, epoch
+    return trainer, stats_path
 
 
 # -- synthesis -------------------------------------------------------------------
@@ -223,9 +222,7 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
     if stats.fingerprint != cfg.audio.fingerprint():
         raise ConfigMismatchError("mel stats were computed under a different analysis config "
                                   "than the model's; rerun `difftts stats` with its config")
-    if reference.sample_rate != cfg.audio.sample_rate:
-        reference = resample(reference, cfg.audio.sample_rate)
-    ref_mel = wav_to_mel(reference, cfg.audio)
+    ref_mel = wav_to_mel(resample(reference, cfg.audio.sample_rate), cfg.audio)
     seq = model.encode_text(text)
     guide = replace(cfg.guidance, gamma=gamma, steps=steps)
 

@@ -36,21 +36,20 @@ def _split(text: str, mode: str) -> list[str]:
 
 @dataclass
 class Vocabulary:
-    symbol_to_id: dict[str, int]
+    """The symbols in id order: ``symbols[i]`` has id ``i + 2``, after pad and unk."""
+    symbols: list[str]
 
     def __post_init__(self):
-        ids = sorted(self.symbol_to_id.values())
-        if ids != list(range(2, 2 + len(ids))):
-            raise VocabularyError("symbol ids must be contiguous starting at 2")
+        if (type(self.symbols) is not list or not all(type(s) is str for s in self.symbols)
+                or len(set(self.symbols)) != len(self.symbols)):
+            raise VocabularyError("symbols must be a list of distinct strings")
+        self._ids = {s: i for i, s in enumerate(self.symbols, start=2)}
 
     def __len__(self) -> int:
-        return len(self.symbol_to_id) + 2  # plus pad and unk
+        return len(self.symbols) + 2  # plus pad and unk
 
     def id_of(self, symbol: str) -> int:
-        return self.symbol_to_id.get(symbol, UNK_ID)
-
-    def symbols_in_id_order(self) -> list[str]:
-        return [s for s, _ in sorted(self.symbol_to_id.items(), key=lambda kv: kv[1])]
+        return self._ids.get(symbol, UNK_ID)
 
 
 @dataclass
@@ -77,7 +76,7 @@ def build_vocab(transcripts: Iterable[str], mode: str = "characters") -> Vocabul
         symbols.update(_split(_normalize(text), mode))
     if empty:
         raise VocabularyError("empty corpus")
-    return Vocabulary({s: i for i, s in enumerate(sorted(symbols), start=2)})
+    return Vocabulary(sorted(symbols))
 
 
 def encode_text(text: str, vocab: Vocabulary, mode: str = "characters") -> PhonemeSequence:

@@ -173,6 +173,7 @@ def test_loss_log_holds_the_epochs_of_the_last_checkpoint(corpus_dir, tmp_path, 
     assert run_cli("train", *common, "--out", ck, "--log", log, "--resume", ck,
                    "--epochs", 2) == 0
     assert log.read_bytes() == whole_log.read_bytes()
+    assert ck.read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
 
 
 def test_train_rejects_zero_epochs(corpus_dir, cfg_file, tmp_path, capsys):
@@ -347,6 +348,33 @@ def test_wrong_record_shape_is_named(corpus_dir, tmp_path):
     pipeline.save_trainer(ck, trainer, "")
     with pytest.raises(CheckpointError, match=r"adam.m.dur.head.b has shape \(3,\)"):
         pipeline.load_trainer(ck)
+
+
+@pytest.mark.parametrize("vocab", [[1, 2], "ab", ["a", None], ["a", "a"]],
+                         ids=["ints", "string", "null", "duplicate"])
+def test_checkpoint_vocab_must_be_a_list_of_distinct_strings(corpus_dir, tmp_path, vocab):
+    trainer, _ = tiny_trainer(corpus_dir)
+    ck = tmp_path / "m.ckpt"
+    pipeline.save_trainer(ck, trainer, "")
+    meta, tensors = load_checkpoint(ck)
+    checkpoint.save_checkpoint(ck, {**meta, "vocab": vocab}, tensors)
+    with pytest.raises(CheckpointError, match=r"m\.ckpt: bad checkpoint metadata: .*distinct"):
+        pipeline.load_trainer(ck)
+
+
+def test_train_epochs_checkpoints_once_after_its_last_epoch(corpus_dir, tmp_path, monkeypatch):
+    trainer, utts = tiny_trainer(
+        corpus_dir, TINY_CFG_TEXT.replace("checkpoint_every=50", "checkpoint_every=1"))
+    written = []
+    real = checkpoint.save_checkpoint
+
+    def counting(path, meta, tensors):
+        written.append(meta["epoch"])
+        real(path, meta, tensors)
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", counting)
+    pipeline.train_epochs(trainer, utts, 3, checkpoint_path=tmp_path / "m.ckpt")
+    assert written == [3]
 
 
 @pytest.mark.parametrize("argv", [

@@ -199,13 +199,13 @@ def test_loss_zero_for_oracle_network(tiny_cfg, monkeypatch):
     mu = nc.Tensor(rng.standard_normal((6, tiny_cfg.audio.n_mels)))
 
     def oracle(store_, x_t, t, cond, cfg_, prefix="dec"):
-        m0, mmu, sigma = SCHED.coefficients(t)
+        m0, mmu, sigma = tiny_cfg.schedule.coefficients(t)
         eps = (x_t.data - m0 * x0 - mmu * mu.data) / sigma
         return nc.Tensor(eps)
 
     monkeypatch.setattr(diffusion, "score_net", oracle)
     loss = diffusion.diffusion_loss(store, x0, mu, np.zeros(tiny_cfg.model.d_spk),
-                                    np.random.default_rng(5), SCHED, tiny_cfg)
+                                    np.random.default_rng(5), tiny_cfg)
     assert loss.item() < 1e-20
 
 
@@ -218,7 +218,7 @@ def test_loss_near_one_for_zero_network(tiny_cfg):
     mu = nc.Tensor(rng.standard_normal((4, tiny_cfg.audio.n_mels)))
     n = 400  # 400 draws x 24 entries ~ 1e4 noise samples
     vals = [diffusion.diffusion_loss(store, x0, mu, np.zeros(tiny_cfg.model.d_spk),
-                                     np.random.default_rng(100 + i), SCHED, tiny_cfg).item()
+                                     np.random.default_rng(100 + i), tiny_cfg).item()
             for i in range(n)]
     entries = n * x0.size
     se = math.sqrt(2.0 / entries)  # var of eps^2 is 2 for unit normals
@@ -236,7 +236,7 @@ def test_loss_decreases_during_training(tiny_cfg):
     for step in range(200):
         store.zero_grads()
         loss = diffusion.diffusion_loss(store, x0, mu, spk,
-                                        np.random.default_rng([11, step]), SCHED, tiny_cfg)
+                                        np.random.default_rng([11, step]), tiny_cfg)
         loss.backward()
         opt.step()
         losses.append(loss.item())

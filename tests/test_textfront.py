@@ -6,17 +6,17 @@ from difftts import textfront as tf
 
 def test_build_vocab_sorted_assignment():
     vocab = tf.build_vocab(["ab", "ba"])
-    assert vocab.symbol_to_id == {"a": 2, "b": 3}
+    assert vocab.symbols == ["a", "b"]
 
 
 def test_build_vocab_dedupes():
     vocab = tf.build_vocab(["aaa", "aa"])
-    assert vocab.symbol_to_id == {"a": 2}
+    assert vocab.symbols == ["a"]
 
 
 def test_build_vocab_deterministic():
     corpus = ["hello", "world"]
-    assert tf.build_vocab(corpus).symbol_to_id == tf.build_vocab(corpus).symbol_to_id
+    assert tf.build_vocab(corpus).symbols == tf.build_vocab(corpus).symbols
 
 
 def test_build_vocab_empty_corpus():
@@ -25,26 +25,26 @@ def test_build_vocab_empty_corpus():
 
 
 def test_encode_basic():
-    vocab = tf.Vocabulary({"a": 2, "b": 3})
+    vocab = tf.Vocabulary(["a", "b"])
     seq = tf.encode_text("ab", vocab)
     np.testing.assert_array_equal(seq.ids, [2, 3])
 
 
 def test_encode_unknown_fallback():
-    vocab = tf.Vocabulary({"a": 2})
+    vocab = tf.Vocabulary(["a"])
     seq = tf.encode_text("ax", vocab)
     np.testing.assert_array_equal(seq.ids, [2, tf.UNK_ID])
 
 
 def test_encode_prephonemized():
-    vocab = tf.Vocabulary({"a": 2, "k": 3, "t": 4})
+    vocab = tf.Vocabulary(["a", "k", "t"])
     seq = tf.encode_text("k a t", vocab, mode="phonemes")
     assert len(seq) == 3
     np.testing.assert_array_equal(seq.ids, [3, 2, 4])
 
 
 def test_encode_empty_after_normalization():
-    vocab = tf.Vocabulary({"a": 2})
+    vocab = tf.Vocabulary(["a"])
     with pytest.raises(tf.EmptyTextError):
         tf.encode_text("   ", vocab)
 
@@ -54,8 +54,7 @@ def test_encode_decode_round_trip():
     vocab = tf.build_vocab(corpus)
     for text in corpus:
         seq = tf.encode_text(text, vocab)
-        symbols = {i: s for s, i in vocab.symbol_to_id.items()}
-        assert "".join(symbols[i] for i in seq.ids) == text
+        assert "".join(vocab.symbols[i - 2] for i in seq.ids) == text
 
 
 def test_sequence_invariants():
