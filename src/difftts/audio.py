@@ -56,8 +56,9 @@ class AnalysisConfig:
     fmax: float = 8000.0
 
     def __post_init__(self):
-        if self.sample_rate <= 0 or self.n_fft <= 0 or self.hop_length <= 0:
-            raise ValueError("analysis sizes must be positive")
+        for name in ("sample_rate", "n_fft", "hop_length", "n_mels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"audio.{name} must be positive, got {getattr(self, name)}")
         if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
             raise ValueError("need 0 <= fmin < fmax <= Nyquist")
 

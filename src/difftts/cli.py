@@ -38,14 +38,10 @@ def cmd_train(args) -> int:
         raise ValueError(f"--epochs must be at least 1, got {args.epochs}")
     cfg = _config_from_args(args)
     stats_path = Path(args.stats) if args.stats else _default_stats_path(args.corpus)
-    if stats_path.exists() and load_mel_stats(stats_path).fingerprint != cfg.audio.fingerprint():
+    if load_mel_stats(stats_path).fingerprint != cfg.audio.fingerprint():
         raise ConfigMismatchError(f"{stats_path}: mel stats were computed under a different "
                                   "analysis config; rerun `difftts stats` with this config")
     utterances = load_corpus(args.corpus, cfg)
-    if not stats_path.exists():
-        stats = mean_mel([u.mel for u in utterances], cfg.audio)
-        save_mel_stats(stats_path, stats)
-        print(f"computed mel stats -> {stats_path}")
     if args.resume:
         trainer, _ = pipeline.load_trainer(args.resume, cfg)
     else:
@@ -74,14 +70,8 @@ def cmd_train(args) -> int:
 
 def cmd_synth(args) -> int:
     trainer, stats_ref = pipeline.load_trainer(args.checkpoint)
-    if args.stats:
-        stats_path = Path(args.stats)
-    else:  # a stored relative path is relative to the checkpoint's directory
-        stats_path = Path(args.checkpoint).parent / stats_ref if stats_ref else None
-    if stats_path is None or not stats_path.exists():
-        print(f"error: mel stats file {stats_path} not found; run `difftts stats` "
-              "over the training corpus first", file=sys.stderr)
-        return 1
+    # a stored relative path is relative to the checkpoint's directory
+    stats_path = Path(args.stats) if args.stats else Path(args.checkpoint).parent / stats_ref
     stats = load_mel_stats(stats_path)
     reference = load_wav(args.ref)
     guidance = trainer.model.cfg.guidance
@@ -128,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--stats", help="mel stats file (computed if absent)")
+    p.add_argument("--stats", help="mel stats file written by `difftts stats`")
     p.add_argument("--log", help="loss log path")
     p.add_argument("--epochs", type=int, help="override config epoch count")
     p.add_argument("--resume", help="checkpoint to continue from")

@@ -33,8 +33,6 @@ class ModelConfig:
             raise ConfigError("d_model must be divisible by the head count")
         if self.conv_kernel % 2 == 0 or self.conv_kernel < 1:
             raise ConfigError("conv_kernel must be odd and positive")
-        if self.ref_seconds <= 0:
-            raise ConfigError("ref_seconds must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,9 @@ class Config:
     def __post_init__(self):
         if self.token_mode not in MODES:
             raise ConfigError(f"unknown token_mode {self.token_mode!r}")
+        if self.ref_frames < 1:
+            raise ConfigError(f"model.ref_seconds={self.model.ref_seconds} gives a reference "
+                              f"window of {self.ref_frames} frames; it needs at least 1")
 
     @property
     def ref_frames(self) -> int:

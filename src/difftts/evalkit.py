@@ -134,7 +134,10 @@ def aggregate(records: Sequence[UtteranceRecord], metric: str) -> MetricTable:
                 skipped += 1
                 continue
             score = cer if metric == "cer" else wer
-            value = score(rec.reference, rec.hypothesis)
+            try:
+                value = score(rec.reference, rec.hypothesis)
+            except EmptyReferenceError as exc:
+                raise EmptyReferenceError(f"record {rec.utterance_id!r}: {exc}") from exc
         key = (rec.dataset, rec.language)
         sums[key] = sums.get(key, 0.0) + value
         counts[key] = counts.get(key, 0) + 1

@@ -118,6 +118,11 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
     cfg = model.cfg
     pools = speaker_pools(utterances)
     seqs = [model.encode_text(u.text) for u in utterances]
+    for utt, seq in zip(utterances, seqs):
+        if len(seq) > utt.mel.frames:
+            raise aligner.InfeasibleError(
+                f"utterance {utt.utterance_id}: {len(seq)} tokens over {utt.mel.frames} frames; "
+                "alignment needs at least one frame per token")
     lines = log_lines if log_lines is not None else []
     n = len(utterances)
     batch_size = min(cfg.train.batch_size, n)

@@ -1,7 +1,12 @@
+import argparse
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from difftts import checkpoint, cli, pipeline, toydata
+from difftts import aligner, checkpoint, cli, pipeline, toydata
 from difftts.audio import (AnalysisConfig, AudioFormatError, ConfigMismatchError, MelStats,
                            load_mel_stats, load_wav, resample, save_mel_stats)
 from difftts.checkpoint import CheckpointError, load_checkpoint
@@ -25,8 +30,13 @@ train.checkpoint_every=50
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
+    """The toy corpus, with its mel stats under the tiny config at the default path."""
     root = tmp_path_factory.mktemp("corpus")
     toydata.make_corpus(root, n_speakers=2, utts_per_speaker=2, seconds=1.5, seed=0)
+    cfg_path = tmp_path_factory.mktemp("cfg") / "tiny.cfg"
+    cfg_path.write_text(TINY_CFG_TEXT, encoding="utf-8")
+    assert run_cli("stats", "--corpus", root, "--config", cfg_path) == 0
+    assert (root / "melstats.bin").exists()
     return root
 
 
@@ -77,11 +87,12 @@ def test_train_deterministic_loss_log(corpus_dir, cfg_file, tmp_path):
     assert checkpoints[0] == checkpoints[1]
 
 
-def test_train_missing_transcript_fails(tmp_path, cfg_file, capsys):
+def test_train_missing_transcript_fails(corpus_dir, tmp_path, cfg_file, capsys):
     toydata.make_corpus(tmp_path / "c", n_speakers=2, utts_per_speaker=2, seconds=1.5, seed=2)
     (tmp_path / "c" / "spk1_u0.txt").unlink()
+    # stats depend only on the analysis config, so another corpus's file passes the check
     assert run_cli("train", "--corpus", tmp_path / "c", "--config", cfg_file,
-                   "--out", tmp_path / "x.ckpt") == 1
+                   "--out", tmp_path / "x.ckpt", "--stats", corpus_dir / "melstats.bin") == 1
     assert "spk1_u0.txt" in capsys.readouterr().err
 
 
@@ -109,10 +120,10 @@ def test_transcript_not_utf8_names_the_file(tmp_path):
         load_corpus(tmp_path / "c", Config())
 
 
-def test_train_single_utterance_speaker_fails(tmp_path, cfg_file, capsys):
+def test_train_single_utterance_speaker_fails(corpus_dir, tmp_path, cfg_file, capsys):
     toydata.make_corpus(tmp_path / "c", n_speakers=2, utts_per_speaker=1, seconds=1.5, seed=3)
     assert run_cli("train", "--corpus", tmp_path / "c", "--config", cfg_file,
-                   "--out", tmp_path / "x.ckpt") == 1
+                   "--out", tmp_path / "x.ckpt", "--stats", corpus_dir / "melstats.bin") == 1
     err = capsys.readouterr().err
     assert "spk0" in err and "spk1" in err
 
@@ -150,7 +161,7 @@ def test_loss_log_holds_the_epochs_of_the_last_checkpoint(corpus_dir, tmp_path, 
     cfg_file = tmp_path / "every2.cfg"
     cfg_file.write_text(TINY_CFG_TEXT.replace("checkpoint_every=50", "checkpoint_every=2"),
                         encoding="utf-8")
-    common = ("--corpus", corpus_dir, "--config", cfg_file, "--stats", tmp_path / "s.bin")
+    common = ("--corpus", corpus_dir, "--config", cfg_file)
     whole_log = tmp_path / "whole.csv"
     assert run_cli("train", *common, "--out", tmp_path / "whole.ckpt", "--log", whole_log,
                    "--epochs", 4) == 0
@@ -179,9 +190,24 @@ def test_loss_log_holds_the_epochs_of_the_last_checkpoint(corpus_dir, tmp_path, 
 def test_train_rejects_zero_epochs(corpus_dir, cfg_file, tmp_path, capsys):
     ck = tmp_path / "m.ckpt"
     assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_file,
-                   "--out", ck, "--stats", tmp_path / "s.bin", "--epochs", 0) == 1
+                   "--out", ck, "--epochs", 0) == 1
     assert "--epochs" in capsys.readouterr().err
     assert not ck.exists()
+
+
+def test_train_without_stats_fails_before_reading_the_corpus(tmp_path, cfg_file, monkeypatch,
+                                                             capsys):
+    corpus = tmp_path / "c"
+    toydata.make_corpus(corpus, n_speakers=2, utts_per_speaker=2, seconds=1.5, seed=4)
+    loads = []
+    monkeypatch.setattr(cli, "load_corpus", lambda *args: loads.append(args))
+    ck = tmp_path / "m.ckpt"
+    assert run_cli("train", "--corpus", corpus, "--config", cfg_file, "--out", ck) == 1
+    err = capsys.readouterr().err
+    assert str(corpus / "melstats.bin") in err and "`difftts stats`" in err
+    assert loads == []
+    assert not (corpus / "melstats.bin").exists()
+    assert not ck.exists() and not ck.with_suffix(".losses.csv").exists()
 
 
 def foreign_stats(path):
@@ -362,6 +388,17 @@ def test_checkpoint_vocab_must_be_a_list_of_distinct_strings(corpus_dir, tmp_pat
         pipeline.load_trainer(ck)
 
 
+def test_train_epochs_names_an_utterance_with_more_tokens_than_frames(corpus_dir):
+    trainer, utts = tiny_trainer(corpus_dir)
+    long = utts[1]
+    long.text = "ab cd " * 30
+    tokens = len(trainer.model.encode_text(long.text))
+    with pytest.raises(aligner.InfeasibleError,
+                       match=rf"{long.utterance_id}: {tokens} tokens over {long.mel.frames} frames"):
+        pipeline.train_epochs(trainer, utts, 1)
+    assert trainer.step == 0
+
+
 def test_train_epochs_checkpoints_once_after_its_last_epoch(corpus_dir, tmp_path, monkeypatch):
     trainer, utts = tiny_trainer(
         corpus_dir, TINY_CFG_TEXT.replace("checkpoint_every=50", "checkpoint_every=1"))
@@ -375,6 +412,20 @@ def test_train_epochs_checkpoints_once_after_its_last_epoch(corpus_dir, tmp_path
     monkeypatch.setattr(checkpoint, "save_checkpoint", counting)
     pipeline.train_epochs(trainer, utts, 3, checkpoint_path=tmp_path / "m.ckpt")
     assert written == [3]
+
+
+def test_readme_cli_flags_are_options_of_their_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # the first code block of the CLI section, with its `\` continuation lines joined
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("difftts ")]
+    assert [argv[0] for argv in commands] == ["stats", "train", "synth", "eval"]
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, *rest in commands:
+        options = subparsers.choices[command]._option_string_actions
+        flags = [word for word in rest if re.fullmatch(r"--[\w-]+", word)]
+        assert flags and [f for f in flags if f not in options] == [], command
 
 
 @pytest.mark.parametrize("argv", [
@@ -398,6 +449,7 @@ def trained(tmp_path_factory, corpus_dir):
     cfg_path.write_text(TINY_CFG_TEXT, encoding="utf-8")
     ck = root / "model.ckpt"
     stats = root / "melstats.bin"
+    assert run_cli("stats", "--corpus", corpus_dir, "--config", cfg_path, "--out", stats) == 0
     assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_path,
                    "--out", ck, "--stats", stats) == 0
     return {"checkpoint": ck, "stats": stats, "root": root}
@@ -468,6 +520,8 @@ def test_synth_finds_stats_relative_to_the_checkpoint(corpus_dir, tmp_path, monk
     work.mkdir()
     (work / "tiny.cfg").write_text(TINY_CFG_TEXT, encoding="utf-8")
     monkeypatch.chdir(work)
+    assert run_cli("stats", "--corpus", corpus_dir, "--config", "tiny.cfg",
+                   "--out", "melstats.bin") == 0
     assert run_cli("train", "--corpus", corpus_dir, "--config", "tiny.cfg", "--out", "model.ckpt",
                    "--stats", "melstats.bin", "--epochs", 1) == 0
     assert checkpoint.load_checkpoint("model.ckpt")[0]["melstats"] == "melstats.bin"
@@ -486,7 +540,7 @@ def test_synth_defaults_come_from_checkpoint_config(corpus_dir, tmp_path, monkey
     cfg_path.write_text(TINY_CFG_TEXT + "guidance.steps=3\nguidance.gamma=0\n", encoding="utf-8")
     ck = tmp_path / "m.ckpt"
     assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_path, "--out", ck,
-                   "--stats", tmp_path / "s.bin", "--epochs", 1) == 0
+                   "--epochs", 1) == 0
     seen = []
     real = pipeline.synthesize
 
@@ -514,6 +568,18 @@ def test_eval_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "hindi CER" in out.splitlines()[0]
     assert "12.50" in out  # mean of 0 and 0.25, in percent
+
+
+@pytest.mark.parametrize("mode,message", [("cer", "reference empty after normalization"),
+                                          ("wer", "reference has no words")])
+def test_eval_empty_reference_names_the_record(tmp_path, capsys, mode, message):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(
+        "id\tdataset\tlanguage\treference\thypothesis\tsim_o\n"
+        "u1\td\tl\tabcd\tabcd\t\n"
+        "u2\td\tl\t \u00a0\tabcd\t\n", encoding="utf-8")
+    assert run_cli("eval", "--manifest", manifest, "--mode", mode) == 1
+    assert f"error: record 'u2': {message}" in capsys.readouterr().err
 
 
 def test_eval_malformed_row_names_line(tmp_path, capsys):

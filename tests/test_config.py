@@ -127,6 +127,13 @@ def test_config_single_byte_change_loads_or_raises_config_error(tmp_path_factory
     _load_config_bytes(tmp_path_factory.getbasetemp() / "flipped.cfg", bytes(blob))
 
 
+@pytest.mark.parametrize("line", ["audio.n_mels=0", "audio.n_mels=-3", "model.ref_seconds=0.001",
+                                  "model.ref_seconds=-2"])
+def test_empty_mel_or_reference_window_names_the_key(line):
+    with pytest.raises(cf.ConfigError, match=line.split("=")[0]):
+        cf.parse_config(line + "\n")
+
+
 @pytest.mark.parametrize("line", ["model.n_heads=0"])
 def test_zero_head_count_raises_config_error(line):
     with pytest.raises(cf.ConfigError, match="positive"):
