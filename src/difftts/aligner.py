@@ -116,5 +116,17 @@ def gaussian_log_prior(mu: np.ndarray, target: np.ndarray) -> np.ndarray:
     target = np.asarray(target, dtype=np.float64)
     if mu.ndim != 2 or target.ndim != 2 or mu.shape[1] != target.shape[1]:
         raise ValueError(f"feature dims disagree: {mu.shape} vs {target.shape}")
-    diff = target[None, :, :] - mu[:, None, :]
-    return -0.5 * np.einsum("pfd,pfd->pf", diff, diff)
+    # centring both on the target's per-bin mean moves no distance, but keeps
+    # the norms small, so the expanded form below cancels little precision
+    centre = target.mean(axis=0)
+    mu = mu - centre
+    target = target - centre
+    # ||mu - x||^2 = ||mu||^2 - 2 mu.x + ||x||^2: one P x F product, updated in
+    # place, where the difference tensor would be P x F x n_mels
+    sq = mu @ target.T
+    sq *= -2.0
+    sq += np.einsum("pd,pd->p", mu, mu)[:, None]
+    sq += np.einsum("fd,fd->f", target, target)
+    np.maximum(sq, 0.0, out=sq)  # rounding can leave an exact match slightly above 0
+    sq *= -0.5
+    return sq

@@ -7,6 +7,10 @@ of every byte before it.  The metadata holds what is not a tensor (a
 trainer's config lines, vocabulary, stats-file path and counters; mel stats'
 frame count and config fingerprint), so strings and integers round-trip
 exactly; tensors round-trip bit-exactly.  Version 1 files are rejected.
+
+Loading makes two passes over the file: the CRC is checked in 1 MB chunks
+before any field is parsed, then each tensor is read straight into its own
+array, so peak memory is the size of the tensors, not twice the file.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 MAGIC = b"DVCKPT01"
 VERSION = 2
+_CHUNK = 1 << 20  # bytes per read while checking the CRC
 
 
 class CheckpointError(ValueError):
@@ -64,44 +69,55 @@ def save_checkpoint(path, metadata: dict, tensors: dict[str, np.ndarray]) -> Non
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Return the metadata and the named tensors of a checkpoint file."""
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return _read_checkpoint(f, path)
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
-    if blob[:8] != MAGIC or len(blob) < 16:
+
+
+def _read_checkpoint(f, path) -> tuple[dict, dict[str, np.ndarray]]:
+    head = f.read(16)
+    if head[:8] != MAGIC or len(head) < 16:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", blob, 8)
+    (version,) = struct.unpack_from("<I", head, 8)
     if version != VERSION:
         raise CheckpointError(f"{path}: checkpoint format version {version} is not "
                               f"supported (this build reads version {VERSION})")
-    body = memoryview(blob)[:-4]
-    if zlib.crc32(body) != struct.unpack_from("<I", blob, len(body))[0]:
+    end = os.fstat(f.fileno()).st_size - 4  # the body: every byte before the CRC
+    f.seek(0)
+    crc = 0
+    for offset in range(0, end, _CHUNK):
+        crc = zlib.crc32(f.read(min(_CHUNK, end - offset)), crc)
+    if crc != int.from_bytes(f.read(4), "little"):
         raise CheckpointError(f"{path}: checksum mismatch; the file is truncated or corrupt")
+
+    def take(fmt: str) -> tuple:
+        size = struct.calcsize(fmt)
+        if end - f.tell() < size:
+            raise struct.error(f"{size} bytes wanted at offset {f.tell()}, {end - f.tell()} left")
+        return struct.unpack(fmt, f.read(size))
+
+    f.seek(12)
     try:
-        (meta_len,) = struct.unpack_from("<I", body, 12)
-        offset = 16 + meta_len
-        metadata = json.loads(str(body[16:offset], "utf-8"))
+        (meta_len,) = take("<I")
+        metadata = json.loads(str(f.read(min(meta_len, end - f.tell())), "utf-8"))
         if not isinstance(metadata, dict):
             raise CheckpointError(f"{path}: metadata is not a JSON object")
-        (count,) = struct.unpack_from("<I", body, offset)
-        offset += 4
+        (count,) = take("<I")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", body, offset)
-            offset += 4
-            name = str(body[offset:offset + name_len], "utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", body, offset)
-            offset += 4
-            dims = struct.unpack_from(f"<{rank}Q", body, offset) if rank else ()
-            offset += 8 * rank
-            n = math.prod(dims)
-            if len(body) - offset < 4 * n:
+            (name_len,) = take("<I")
+            name = str(f.read(min(name_len, end - f.tell())), "utf-8")
+            (rank,) = take("<I")
+            dims = take(f"<{rank}Q")
+            if end - f.tell() < 4 * math.prod(dims):
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            values = np.frombuffer(body, dtype="<f4", count=n, offset=offset)
-            offset += 4 * n
-            tensors[name] = values.reshape(dims).copy()
+            values = np.empty(dims, dtype="<f4")
+            if f.readinto(values) != values.nbytes:  # shrunk since the CRC pass
+                raise CheckpointError(f"{path}: truncated tensor {name!r}")
+            tensors[name] = values
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from exc
-    if offset != len(body):
-        raise CheckpointError(f"{path}: {len(body) - offset} trailing bytes after the last tensor")
+    if f.tell() != end:
+        raise CheckpointError(f"{path}: {end - f.tell()} trailing bytes after the last tensor")
     return metadata, tensors

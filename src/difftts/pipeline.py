@@ -113,6 +113,8 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
 
     Given ``checkpoint_path``, saves the trainer once, after the last epoch.
     """
+    if checkpoint_path is not None:
+        _require_stats_path(checkpoint_path, stats_path)
     require_reference_material(utterances)
     model = trainer.model
     cfg = model.cfg
@@ -151,7 +153,16 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
 # -- persistence ---------------------------------------------------------------
 
 
-def save_trainer(path, trainer: Trainer, stats_path: str = "") -> None:
+def _require_stats_path(path, stats_path) -> None:
+    # `difftts synth` finds the mel stats through this path, so a checkpoint
+    # that names none could not be synthesized from
+    if not str(stats_path):
+        raise checkpoint.CheckpointError(
+            f"{path}: a checkpoint must name its mel stats file (written by `difftts stats`)")
+
+
+def save_trainer(path, trainer: Trainer, stats_path: str) -> None:
+    _require_stats_path(path, stats_path)
     model = trainer.model
     tensors: dict[str, np.ndarray] = {}
     for name, p in model.store.items():

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from difftts import aligner
+from difftts.audio import LOG_FLOOR
 
 
 def test_single_phoneme_takes_all_frames():
@@ -150,3 +153,51 @@ def test_gaussian_log_prior_hand_case():
     lp = aligner.gaussian_log_prior(mu, target)
     np.testing.assert_allclose(lp, [[0.0, -0.5], [-0.5, 0.0]])
     assert lp[0, 0] > lp[1, 0] and lp[1, 1] > lp[0, 1]
+
+
+def einsum_log_prior(mu, target):
+    """The direct form, through the P x F x n_mels difference tensor."""
+    diff = np.asarray(target, np.float64)[None, :, :] - np.asarray(mu, np.float64)[:, None, :]
+    return -0.5 * np.einsum("pfd,pfd->pf", diff, diff)
+
+
+def assert_matches_einsum_form(mu, target):
+    got = aligner.gaussian_log_prior(mu, target)
+    want = einsum_log_prior(mu, target)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    if got.shape[0] <= got.shape[1]:
+        np.testing.assert_array_equal(aligner.mas(got).durations, aligner.mas(want).durations)
+
+
+@pytest.mark.parametrize("p, f, d", [(1, 1, 1), (1, 9, 3), (3, 7, 2), (40, 216, 80),
+                                     (150, 860, 80), (17, 5, 80)])
+def test_gaussian_log_prior_matches_the_einsum_form(p, f, d):
+    rng = np.random.default_rng([p, f, d])
+    mu = rng.standard_normal((p, d))
+    target = rng.standard_normal((f, d)).astype(np.float32)
+    assert_matches_einsum_form(mu, target)
+
+
+@pytest.mark.parametrize("spread", [1.0, 0.1, 0.01])
+def test_gaussian_log_prior_matches_the_einsum_form_near_the_log_floor(spread):
+    # log-mels of near-silence: squared norms near 80 * 11.5^2 against distances
+    # near 80 * spread^2, which an uncentred expansion loses to cancellation
+    rng = np.random.default_rng(round(1 / spread))
+    floor = np.log(LOG_FLOOR)
+    mu = floor + spread * rng.standard_normal((40, 80))
+    target = (floor + spread * rng.standard_normal((216, 80))).astype(np.float32)
+    assert_matches_einsum_form(mu, target)
+
+
+def test_gaussian_log_prior_memory_is_p_by_f():
+    # 30 s at hop 256 with 450 tokens: the difference tensor alone is 744 MB
+    rng = np.random.default_rng(0)
+    mu = rng.standard_normal((450, 80))
+    target = rng.standard_normal((2584, 80)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        aligner.gaussian_log_prior(mu, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak

@@ -1,4 +1,6 @@
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -144,3 +146,43 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path):
     _, back = ck.load_checkpoint(p)
     assert np.array_equal(back["w"], np.ones(10, dtype=np.float32))
     assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_the_tensors_not_a_copy_of_the_file(tmp_path):
+    rng = np.random.default_rng(0)
+    tensors = {f"w{i}": rng.standard_normal((512, 1024)).astype(np.float32) for i in range(4)}
+    tensors["b"] = rng.standard_normal(1000).astype(np.float32)
+    tensor_bytes = sum(v.nbytes for v in tensors.values())
+    assert tensor_bytes >= 8 * 2**20
+    p = tmp_path / "big.ckpt"
+    ck.save_checkpoint(p, META, tensors)
+    (meta, back), peak = traced_peak(lambda: ck.load_checkpoint(p))
+    assert peak < 1.25 * tensor_bytes, (peak, tensor_bytes)
+    assert meta == META
+    for name, value in tensors.items():
+        assert back[name].tobytes() == value.tobytes(), name
+
+
+def test_huge_tensor_header_is_refused_before_allocating(tmp_path):
+    # a valid CRC, so only the bytes-remaining check stands between the
+    # claimed 2^40 elements (4 TiB) and an allocation
+    body = (ck.MAGIC + struct.pack("<II", ck.VERSION, 2) + b"{}" + struct.pack("<I", 1)
+            + struct.pack("<I", 4) + b"huge" + struct.pack("<IQ", 1, 2**40) + bytes(8))
+    p = tmp_path / "huge.ckpt"
+    p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+    def load():
+        with pytest.raises(ck.CheckpointError, match=r"huge\.ckpt: truncated tensor 'huge'"):
+            ck.load_checkpoint(p)
+
+    _, peak = traced_peak(load)
+    assert peak < 2**20, peak

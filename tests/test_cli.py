@@ -220,7 +220,7 @@ def test_model_checkpoint_passed_as_mel_stats_names_the_file(tmp_path):
     # both kinds share one container, so the readers tell them apart by content
     cfg = parse_config(TINY_CFG_TEXT)
     ck = tmp_path / "model.ckpt"
-    pipeline.save_trainer(ck, pipeline.new_trainer(cfg, build_vocab(["ab"])), "")
+    pipeline.save_trainer(ck, pipeline.new_trainer(cfg, build_vocab(["ab"])), "stats.bin")
     with pytest.raises(AudioFormatError, match=r"model\.ckpt: not a mel stats file"):
         load_mel_stats(ck)
 
@@ -277,7 +277,7 @@ def test_checkpoint_config_mismatch_rejected(corpus_dir, cfg_file, tmp_path):
     utts = load_corpus(corpus_dir, cfg)
     trainer = pipeline.new_trainer(cfg, build_vocab([u.text for u in utts]), utts)
     ck = tmp_path / "m.ckpt"
-    pipeline.save_trainer(ck, trainer, "")
+    pipeline.save_trainer(ck, trainer, "stats.bin")
     other = parse_config(TINY_CFG_TEXT + "train.seed=99\nguidance.steps=7\n")
     with pytest.raises(CheckpointError) as info:
         pipeline.load_trainer(ck, other)
@@ -301,7 +301,7 @@ def test_resume_is_exact_for_large_seeds(corpus_dir, tmp_path, seed):
     split, _ = tiny_trainer(corpus_dir, text)
     split_lines = pipeline.train_epochs(split, utts, 1)
     ck = tmp_path / "half.ckpt"
-    pipeline.save_trainer(ck, split, "")
+    pipeline.save_trainer(ck, split, "stats.bin")
     resumed, _ = pipeline.load_trainer(ck)
     assert resumed.model.cfg.train.seed == seed
     split_lines += pipeline.train_epochs(resumed, utts, 1)
@@ -314,7 +314,7 @@ def test_step_counter_past_float32_precision_survives(corpus_dir, tmp_path):
     trainer, _ = tiny_trainer(corpus_dir)
     trainer.opt.t, trainer.epoch = 2**24 + 1, 2**24 + 3
     ck = tmp_path / "m.ckpt"
-    pipeline.save_trainer(ck, trainer, "")
+    pipeline.save_trainer(ck, trainer, "stats.bin")
     loaded, _ = pipeline.load_trainer(ck)
     assert (loaded.step, loaded.epoch, loaded.opt.t) == (2**24 + 1, 2**24 + 3, 2**24 + 1)
 
@@ -324,7 +324,7 @@ def test_checkpoint_with_a_removed_key_names_file_and_key(corpus_dir, tmp_path):
     # model.dur_heads were still settings
     trainer, _ = tiny_trainer(corpus_dir)
     ck = tmp_path / "old.ckpt"
-    pipeline.save_trainer(ck, trainer, "")
+    pipeline.save_trainer(ck, trainer, "stats.bin")
     meta, tensors = load_checkpoint(ck)
     lines = []
     for line in meta["config"]:
@@ -347,7 +347,7 @@ def test_checkpoint_without_a_defaulted_key_loads(corpus_dir, tmp_path, monkeypa
     monkeypatch.setattr(Config, "to_lines", lambda self: [
         line for line in full(self) if not line.startswith("guidance.temperature=")])
     ck = tmp_path / "old.ckpt"
-    pipeline.save_trainer(ck, trainer, "")
+    pipeline.save_trainer(ck, trainer, "stats.bin")
     monkeypatch.undo()
     for requested in (cfg, None):
         loaded, _ = pipeline.load_trainer(ck, requested)
@@ -361,7 +361,7 @@ def test_missing_adam_moment_is_named(corpus_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(checkpoint, "save_checkpoint", lambda path, meta, tensors: real(
         path, meta, {k: v for k, v in tensors.items() if k != "adam.v.dur.head.b"}))
     ck = tmp_path / "m.ckpt"
-    pipeline.save_trainer(ck, trainer, "")
+    pipeline.save_trainer(ck, trainer, "stats.bin")
     monkeypatch.undo()
     with pytest.raises(CheckpointError, match="missing tensor adam.v.dur.head.b"):
         pipeline.load_trainer(ck)
@@ -371,7 +371,7 @@ def test_wrong_record_shape_is_named(corpus_dir, tmp_path):
     trainer, _ = tiny_trainer(corpus_dir)
     trainer.opt.m["dur.head.b"] = np.zeros(3)
     ck = tmp_path / "m.ckpt"
-    pipeline.save_trainer(ck, trainer, "")
+    pipeline.save_trainer(ck, trainer, "stats.bin")
     with pytest.raises(CheckpointError, match=r"adam.m.dur.head.b has shape \(3,\)"):
         pipeline.load_trainer(ck)
 
@@ -381,7 +381,7 @@ def test_wrong_record_shape_is_named(corpus_dir, tmp_path):
 def test_checkpoint_vocab_must_be_a_list_of_distinct_strings(corpus_dir, tmp_path, vocab):
     trainer, _ = tiny_trainer(corpus_dir)
     ck = tmp_path / "m.ckpt"
-    pipeline.save_trainer(ck, trainer, "")
+    pipeline.save_trainer(ck, trainer, "stats.bin")
     meta, tensors = load_checkpoint(ck)
     checkpoint.save_checkpoint(ck, {**meta, "vocab": vocab}, tensors)
     with pytest.raises(CheckpointError, match=r"m\.ckpt: bad checkpoint metadata: .*distinct"):
@@ -410,8 +410,23 @@ def test_train_epochs_checkpoints_once_after_its_last_epoch(corpus_dir, tmp_path
         real(path, meta, tensors)
 
     monkeypatch.setattr(checkpoint, "save_checkpoint", counting)
-    pipeline.train_epochs(trainer, utts, 3, checkpoint_path=tmp_path / "m.ckpt")
+    pipeline.train_epochs(trainer, utts, 3, checkpoint_path=tmp_path / "m.ckpt",
+                          stats_path="stats.bin")
     assert written == [3]
+
+
+def test_checkpoint_must_name_its_stats_file(corpus_dir, tmp_path):
+    # `difftts synth` finds the stats through the stored path; an empty one
+    # once resolved to the checkpoint's directory ("Is a directory")
+    trainer, utts = tiny_trainer(corpus_dir)
+    ck = tmp_path / "libck.ckpt"
+    with pytest.raises(TypeError):
+        pipeline.save_trainer(ck, trainer)
+    with pytest.raises(CheckpointError, match=r"libck\.ckpt: .*mel stats file"):
+        pipeline.save_trainer(ck, trainer, "")
+    with pytest.raises(CheckpointError, match=r"libck\.ckpt: .*mel stats file"):
+        pipeline.train_epochs(trainer, utts, 1, checkpoint_path=ck)
+    assert trainer.step == 0 and not ck.exists()
 
 
 def test_readme_cli_flags_are_options_of_their_command():
