@@ -112,7 +112,10 @@ def _read_checkpoint(f, path) -> tuple[dict, dict[str, np.ndarray]]:
             dims = take(f"<{rank}Q")
             if end - f.tell() < 4 * math.prod(dims):
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            values = np.empty(dims, dtype="<f4")
+            try:  # a zero-size shape passes the check above whatever its dims
+                values = np.empty(dims, dtype="<f4")
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: tensor {name!r} has shape {dims}: {exc}") from exc
             if f.readinto(values) != values.nbytes:  # shrunk since the CRC pass
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
             tensors[name] = values

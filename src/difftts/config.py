@@ -70,10 +70,15 @@ class TrainConfig:
     checkpoint_every: int = 50
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("bad training parameters")
-        if self.checkpoint_every < 1:
-            raise ConfigError("checkpoint_every must be positive")
+        # `replace` skips the file parser's finiteness check, so check here
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"train.learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
+        for name in ("batch_size", "epochs", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"train.{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,13 @@ class GuidanceConfig:
     temperature: float = 1.5
 
     def __post_init__(self):
-        if self.gamma < 0 or self.steps < 1 or self.temperature <= 0:
-            raise ConfigError("bad guidance parameters")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError(f"guidance.gamma must be non-negative and finite, got {self.gamma}")
+        if self.steps < 1:
+            raise ConfigError(f"guidance.steps must be positive, got {self.steps}")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(f"guidance.temperature must be positive and finite, "
+                              f"got {self.temperature}")
 
 
 @dataclass(frozen=True)

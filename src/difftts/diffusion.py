@@ -232,16 +232,6 @@ def guided_score(s_cond, s_uncond, gamma: float):
     return s_cond + gamma * (s_cond - s_uncond)
 
 
-def _noise_prediction(store: nc.ParamStore, x_t: np.ndarray, t: float,
-                      cond: ScoreCondition, cfg: Config) -> np.ndarray:
-    """``score_net`` off the tape, its result checked once for finiteness."""
-    def forward():
-        with nc.no_grad():
-            return nc.require_finite(score_net(store, x_t, t, cond, cfg), "score_net output")
-
-    return nc.run_checked(forward).data
-
-
 def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
               cond_c: ScoreCondition, cond_mel: ScoreCondition | None,
               gamma: float, schedule: NoiseSchedule, cfg: Config) -> np.ndarray:
@@ -252,30 +242,53 @@ def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
     their mel terms stacked on a batch axis.  Guidance holds the speaker
     fixed, so both conditions must carry the same speaker vector; two
     conditions not prepared together by ``prepare_conditions`` are
-    prepared, and so checked, here.
+    prepared, and so checked, here.  ``score_net`` runs off the tape, its
+    result checked once for finiteness.
     """
-    if gamma == 0.0:
-        return score_from_noise(_noise_prediction(store, x_t, t, cond_c, cfg), t, schedule)
-    if cond_mel is None:
-        raise ValueError(f"guidance at gamma={gamma} needs the unconditional mel condition")
-    if cond_c.terms is None or cond_mel.terms is None or (
-            cond_c.terms.speaker_rows is not cond_mel.terms.speaker_rows):
-        cond_c, cond_mel = prepare_conditions(store, [cond_c, cond_mel], cfg)
-    mel_in = nc.Tensor(np.stack([cond_c.terms.mel_in.data, cond_mel.terms.mel_in.data]))
-    pair = replace(cond_c, terms=ConditionTerms(cond_c.terms.speaker_rows, mel_in))
-    s_c, s_u = score_from_noise(_noise_prediction(store, x_t, t, pair, cfg), t, schedule)
-    return guided_score(s_c, s_u, gamma)
+    if gamma != 0.0:
+        if cond_mel is None:
+            raise ValueError(f"guidance at gamma={gamma} needs the unconditional mel condition")
+        if cond_c.terms is None or cond_mel.terms is None or (
+                cond_c.terms.speaker_rows is not cond_mel.terms.speaker_rows):
+            cond_c, cond_mel = prepare_conditions(store, [cond_c, cond_mel], cfg)
+        mel_in = nc.Tensor(np.stack([cond_c.terms.mel_in.data, cond_mel.terms.mel_in.data]))
+        cond_c = replace(cond_c, terms=ConditionTerms(cond_c.terms.speaker_rows, mel_in))
+
+    def forward():
+        with nc.no_grad():
+            return nc.require_finite(score_net(store, x_t, t, cond_c, cfg), "score_net output")
+
+    s = score_from_noise(nc.run_checked(forward).data, t, schedule)
+    return s if gamma == 0.0 else guided_score(s[0], s[1], gamma)
+
+
+def integrate(score, x: np.ndarray, mu: np.ndarray, schedule: NoiseSchedule,
+              steps: int) -> np.ndarray:
+    """Euler steps of dX = (mu/2 - X/2 - s) beta dt, s = ``score(x_t, t)``, from
+    X_1 = ``x`` at t=1 down to schedule.t_min; the sample keeps x's dtype.
+
+    A NumericError from ``score`` is raised again naming the step and its t.
+    """
+    h = (1.0 - schedule.t_min) / steps
+    for k in range(steps):
+        t = 1.0 - k * h
+        try:
+            s = score(x, t)
+        except nc.NumericError as exc:
+            raise nc.NumericError(f"sampler step {k + 1} of {steps} (t={t:.4g}): {exc}") from exc
+        drift = (0.5 * (mu - x) - s) * schedule.beta(t)
+        x = (x - h * drift).astype(x.dtype)
+    return x
 
 
 def reverse_sample(store: nc.ParamStore, mu: np.ndarray, speaker: np.ndarray,
                    guidance: GuidanceConfig, schedule: NoiseSchedule, cfg: Config,
                    seed: int, cond_mel: np.ndarray | None = None) -> np.ndarray:
-    """Integrate dX = (mu/2 - X/2 - s) beta dt from t=1 down to schedule.t_min.
+    """``integrate`` from X_1 ~ N(mu, temperature * I) with the guided score.
 
-    Deterministic given the seed: randomness enters only through the initial
-    sample X_1 ~ N(mu, temperature * I).  The conditions' terms (speaker
-    projections and mel input-layer terms) are computed once, not once per
-    step; ``cond_mel`` is used only at gamma > 0.
+    Deterministic given the seed: randomness enters only through X_1.  The
+    conditions' terms (speaker projections and mel input-layer terms) are
+    computed once, not once per step; ``cond_mel`` is used only at gamma > 0.
     """
     mu = np.asarray(mu, dtype=store.dtype)
     spk = np.asarray(speaker, dtype=store.dtype)
@@ -289,14 +302,5 @@ def reverse_sample(store: nc.ParamStore, mu: np.ndarray, speaker: np.ndarray,
     except nc.NumericError as exc:
         raise nc.NumericError(f"sampler conditions: {exc}") from exc
     cond_u = cond_u[0] if cond_u else None
-    h = (1.0 - schedule.t_min) / guidance.steps
-    for k in range(guidance.steps):
-        t = 1.0 - k * h
-        try:
-            s = cfg_score(store, x, t, cond_c, cond_u, guidance.gamma, schedule, cfg)
-        except nc.NumericError as exc:
-            raise nc.NumericError(f"sampler step {k + 1} of {guidance.steps} "
-                                  f"(t={t:.4g}): {exc}") from exc
-        drift = (0.5 * (mu - x) - s) * schedule.beta(t)
-        x = (x - h * drift).astype(store.dtype)
-    return x
+    return integrate(lambda x_t, t: cfg_score(store, x_t, t, cond_c, cond_u, guidance.gamma,
+                                              schedule, cfg), x, mu, schedule, guidance.steps)

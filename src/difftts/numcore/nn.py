@@ -13,10 +13,9 @@ from .tensor import NumericError, ShapeError, Tensor, _check_op, _node
 
 
 class Parameter:
-    """Named trainable tensor; gradient lives on the tensor."""
+    """Trainable tensor, named by its key in a ``ParamStore``; gradient lives on the tensor."""
 
-    def __init__(self, name: str, value: np.ndarray):
-        self.name = name
+    def __init__(self, value: np.ndarray):
         self.tensor = Tensor(value, requires_grad=True)
 
     @property
@@ -31,18 +30,13 @@ class ParamStore:
         self.dtype = np.dtype(dtype)
         self._params: dict[str, Parameter] = {}
 
-    def create(self, name: str, value: np.ndarray) -> Parameter:
+    def create(self, name: str, value: np.ndarray) -> None:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        p = Parameter(name, np.asarray(value, dtype=self.dtype))
-        self._params[name] = p
-        return p
+        self._params[name] = Parameter(np.asarray(value, dtype=self.dtype))
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return self._params.items()

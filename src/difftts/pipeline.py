@@ -164,10 +164,8 @@ def _require_stats_path(path, stats_path) -> None:
 def save_trainer(path, trainer: Trainer, stats_path: str) -> None:
     _require_stats_path(path, stats_path)
     model = trainer.model
-    tensors: dict[str, np.ndarray] = {}
-    for name, p in model.store.items():
-        tensors[f"param.{name}"] = p.value
-    for name in model.store.names():
+    tensors = {f"param.{name}": p.value for name, p in model.store.items()}
+    for name, _ in model.store.items():
         tensors[f"adam.m.{name}"] = trainer.opt.m[name]
         tensors[f"adam.v.{name}"] = trainer.opt.v[name]
     metadata = {"config": model.cfg.to_lines(), "vocab": model.vocab.symbols,
@@ -233,14 +231,16 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
     ``stats`` must come from the model's analysis config, or the mean-mel
     guidance anchor would sit in another feature space.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     cfg = model.cfg
     store = model.store
+    guide = replace(cfg.guidance, gamma=gamma, steps=steps)
     if stats.fingerprint != cfg.audio.fingerprint():
         raise ConfigMismatchError("mel stats were computed under a different analysis config "
                                   "than the model's; rerun `difftts stats` with its config")
     ref_mel = wav_to_mel(resample(reference, cfg.audio.sample_rate), cfg.audio)
     seq = model.encode_text(text)
-    guide = replace(cfg.guidance, gamma=gamma, steps=steps)
 
     window = durpred.crop_window(ref_mel.values, cfg.ref_frames,
                                  np.random.default_rng([seed, _CROP]))

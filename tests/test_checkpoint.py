@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from difftts import checkpoint as ck
+from difftts import audio, checkpoint as ck
 
 META = {"config": ["train.seed=2147483647"], "vocab": ["a", "ह"], "melstats": "stats.bin",
         "step": 2**53 + 1, "epoch": 3}
@@ -186,3 +186,16 @@ def test_huge_tensor_header_is_refused_before_allocating(tmp_path):
 
     _, peak = traced_peak(load)
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("dims", [(2**64 - 1, 0), (2**63, 0), (0,) * 65])
+def test_zero_size_tensor_numpy_cannot_shape_is_named(tmp_path, dims):
+    # the dims multiply to 0, so the bytes-remaining check passes them
+    body = (ck.MAGIC + struct.pack("<II", ck.VERSION, 2) + b"{}" + struct.pack("<I", 1)
+            + struct.pack("<I", 4) + b"mean" + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
+    p = tmp_path / "zero.bin"
+    p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(ck.CheckpointError, match=r"zero\.bin: tensor 'mean' has shape"):
+        ck.load_checkpoint(p)
+    with pytest.raises(audio.AudioFormatError, match=r"zero\.bin: tensor 'mean' has shape"):
+        audio.load_mel_stats(p)

@@ -509,6 +509,24 @@ def test_synthesize_resamples_a_reference_at_another_rate(trained, corpus_dir):
     assert a.wave.samples.tobytes() == b.wave.samples.tobytes()
 
 
+@pytest.mark.parametrize("flag,value,named", [("--seed", "-1", "seed must be non-negative"),
+                                              ("--gamma", "nan", "guidance.gamma"),
+                                              ("--gamma", "inf", "guidance.gamma")])
+def test_synth_refuses_a_bad_seed_or_gamma_by_name(trained, corpus_dir, tmp_path, capsys,
+                                                   monkeypatch, flag, value, named):
+    # refused before any work: the reference is never analysed
+    def no_work(*args, **kwargs):
+        raise AssertionError("synthesize started work")
+
+    monkeypatch.setattr(pipeline, "wav_to_mel", no_work)
+    out = tmp_path / "o.wav"
+    assert run_cli("synth", "--checkpoint", trained["checkpoint"], "--text", "ab",
+                   "--ref", corpus_dir / "spk0_u0.wav", "--out", out, "--steps", "2",
+                   "--stats", trained["stats"], flag, value) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_missing_stats_instructs_stats_command(trained, corpus_dir, tmp_path, capsys):
     ref = corpus_dir / "spk0_u0.wav"
     missing = tmp_path / "never-written.bin"

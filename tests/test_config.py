@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -138,3 +139,23 @@ def test_empty_mel_or_reference_window_names_the_key(line):
 def test_zero_head_count_raises_config_error(line):
     with pytest.raises(cf.ConfigError, match="positive"):
         cf.parse_config(line + "\n")
+
+
+# a negative train.seed would otherwise fail in numpy's seeding, after the corpus loads
+@pytest.mark.parametrize("line", ["train.learning_rate=0", "train.batch_size=0", "train.epochs=-1",
+                                  "train.checkpoint_every=0", "train.seed=-1", "guidance.steps=0",
+                                  "guidance.gamma=-0.5", "guidance.temperature=0"])
+def test_out_of_range_training_and_guidance_values_name_key_and_value(line):
+    key, value = line.split("=")
+    with pytest.raises(cf.ConfigError, match=re.escape(key) + f" must be .*, got {value}"):
+        cf.parse_config(line + "\n")
+
+
+# `dataclasses.replace` skips the file parser, so the dataclasses refuse these themselves
+@pytest.mark.parametrize("section,key", [("guidance", "gamma"), ("guidance", "temperature"),
+                                         ("train", "learning_rate")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_value_set_by_replace_is_refused(section, key, value):
+    base = getattr(cf.Config(), section)
+    with pytest.raises(cf.ConfigError, match=f"{section}.{key} must be .*finite, got {value}"):
+        dataclasses.replace(base, **{key: value})

@@ -326,7 +326,8 @@ def test_no_grad_blocks_tape():
 
 def test_adam_moves_parameters_toward_minimum():
     store = nc.ParamStore(dtype=np.float64)
-    p = store.create("w", np.array([5.0]))
+    store.create("w", np.array([5.0]))
+    p = store["w"]
     opt = nc.Adam(store, lr=0.1)
     for _ in range(200):
         store.zero_grads()
