@@ -134,6 +134,8 @@ def load_wav(path) -> Waveform:
         raise AudioFormatError(f"{path}: malformed WAV ({exc or 'truncated header'})") from exc
     if rate <= 0:
         raise AudioFormatError(f"{path}: header sample rate {rate} is not positive")
+    if not raw:
+        raise AudioFormatError(f"{path}: empty data chunk")
     if len(raw) % 2:
         raise AudioFormatError(f"{path}: data chunk of {len(raw)} bytes ends mid-sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0

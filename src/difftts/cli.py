@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from . import evalkit, pipeline
-from .audio import (ConfigMismatchError, load_mel_stats, load_wav, mean_mel, save_mel_stats,
-                    write_wav)
+from .audio import (AudioFormatError, ConfigMismatchError, TooShortError, load_mel_stats,
+                    load_wav, mean_mel, save_mel_stats, write_wav)
 from .config import Config, load_config
 from .corpus import load_corpus
 from .textfront import build_vocab
@@ -82,6 +82,8 @@ def cmd_synth(args) -> int:
                                      gamma=gamma, steps=steps, seed=args.seed)
     except ConfigMismatchError as exc:
         raise ConfigMismatchError(f"{stats_path}: {exc}") from exc
+    except (AudioFormatError, TooShortError) as exc:  # the reference, resampled, is too short
+        raise type(exc)(f"{args.ref}: {exc}") from exc
     write_wav(args.out, result.wave)
     frames = result.durations.frames
     print("durations:", " ".join(str(int(d)) for d in frames))

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .audio import MelSpectrogram, load_wav, resample, wav_to_mel
+from .audio import (AudioFormatError, MelSpectrogram, TooShortError, load_wav, resample,
+                    wav_to_mel)
 from .config import Config
 from .durpred import ReferenceUnavailableError
 
@@ -58,11 +59,15 @@ def load_corpus(corpus_dir, cfg: Config) -> list[Utterance]:
             raise CorpusError(f"missing audio file {wav_path}")
         if not txt_path.exists():
             raise CorpusError(f"missing transcript {txt_path}")
-        wave = resample(load_wav(wav_path), cfg.audio.sample_rate)
+        wave = load_wav(wav_path)
         text = _read_text(txt_path, "transcript").strip()
         if not text:
             raise CorpusError(f"empty transcript {txt_path}")
-        utterances.append(Utterance(uid, speakers[uid], text, wav_to_mel(wave, cfg.audio)))
+        try:
+            mel = wav_to_mel(resample(wave, cfg.audio.sample_rate), cfg.audio)
+        except (AudioFormatError, TooShortError) as exc:
+            raise type(exc)(f"{wav_path}: {exc}") from exc
+        utterances.append(Utterance(uid, speakers[uid], text, mel))
     return utterances
 
 

@@ -23,31 +23,19 @@ from .config import Config, GuidanceConfig, NoiseSchedule
 
 
 @dataclass
-class ConditionTerms:
-    """What a condition adds to ``score_net`` whatever ``x_t`` and ``t`` are.
-
-    ``speaker_rows`` is ``speaker_rows(store, speaker)``, and ``mel_in`` is
-    the mel's term of the input conv with the input bias included, [batch x]
-    frames x C.  Both stay valid while the store's parameters are unchanged.
-    """
-    speaker_rows: list
-    mel_in: nc.Tensor
-
-
-@dataclass
 class ScoreCondition:
     """Decoder conditioning: a frame-level mel condition plus a speaker vector.
 
     Either field may be a graph Tensor (training) or an ndarray (sampling);
     ``score_net`` turns arrays into tensors.  ``mel`` may carry a leading
-    batch axis of conditions that share the speaker.  ``terms`` holds the
-    condition's ``ConditionTerms`` when ``prepare_conditions`` has computed
-    them ahead; ``score_net`` then reads only ``terms``, and computes them
-    itself when it is None.
+    batch axis of conditions that share the speaker, as ``guidance_pair``
+    builds.  ``terms`` is None, or what ``prepare_condition`` computed ahead
+    for ``score_net`` to read instead: (``speaker_rows``, the mel's term of
+    the input conv, bias included), valid while the parameters are unchanged.
     """
     mel: object       # [batch x] frames x n_mels (aligned text mu, or mean-mel broadcast)
     speaker: object   # (d_spk,) unit norm
-    terms: ConditionTerms | None = None
+    terms: tuple | None = None
 
 
 def forward_diffuse(x0, mu, t: float, noise, schedule: NoiseSchedule):
@@ -140,32 +128,34 @@ def _mel_term(store: nc.ParamStore, mel, w_mel: nc.Tensor, cfg: Config) -> nc.Te
                      kernel=cfg.model.conv_kernel)
 
 
-def prepare_conditions(store: nc.ParamStore, conds: list[ScoreCondition],
-                       cfg: Config) -> list[ScoreCondition]:
-    """The conditions with their ``terms`` computed off the tape, all sharing
-    one set of speaker rows.
+def guidance_pair(cond_c: ScoreCondition, cond_mel: ScoreCondition) -> ScoreCondition:
+    """The batch [conditional, unconditional] that one ``score_net`` pass evaluates.
 
-    The conditions must share the speaker (guidance holds it fixed) and the
-    frame count.  A non-finite term raises NumericError naming the op.
+    Guidance holds the speaker fixed, so both conditions must carry the same
+    speaker vector, and their mels must share the frame count.
     """
-    spk = _tensor(store, conds[0].speaker).data
-    mels = [_tensor(store, c.mel) for c in conds]
-    for c, mel in zip(conds[1:], mels[1:]):
-        if mel.shape != mels[0].shape:
-            raise nc.ShapeError("conditional and unconditional mels must share frame count")
-        if not np.array_equal(_tensor(store, c.speaker).data, spk):
-            raise ValueError("guidance holds the speaker fixed: "
-                             "both conditions need the same speaker")
+    mel_c, mel_u = np.asarray(cond_c.mel), np.asarray(cond_mel.mel)
+    if mel_c.shape != mel_u.shape:
+        raise nc.ShapeError("conditional and unconditional mels must share frame count")
+    if not np.array_equal(cond_c.speaker, cond_mel.speaker):
+        raise ValueError("guidance holds the speaker fixed: "
+                         "both conditions need the same speaker")
+    return ScoreCondition(np.stack([mel_c, mel_u]), cond_c.speaker)
 
+
+def prepare_condition(store: nc.ParamStore, cond: ScoreCondition, cfg: Config) -> ScoreCondition:
+    """``cond``, batched or not, with its ``terms`` computed off the tape.
+
+    A non-finite term raises NumericError naming the op.
+    """
     def forward():
         with nc.no_grad():
             w_mel = _input_weights(store, cfg)[1]
-            rows = [nc.require_finite(r, "speaker row") for r in speaker_rows(store, spk)]
-            return [ConditionTerms(rows, nc.require_finite(_mel_term(store, mel, w_mel, cfg),
-                                                           "input-layer term of a mel condition"))
-                    for mel in mels]
+            rows = [nc.require_finite(r, "speaker row") for r in speaker_rows(store, cond.speaker)]
+            return rows, nc.require_finite(_mel_term(store, cond.mel, w_mel, cfg),
+                                           "input-layer term of a mel condition")
 
-    return [replace(c, terms=terms) for c, terms in zip(conds, nc.run_checked(forward))]
+    return replace(cond, terms=nc.run_checked(forward))
 
 
 def score_net(store: nc.ParamStore, x_t, t: float, cond: ScoreCondition,
@@ -181,21 +171,18 @@ def score_net(store: nc.ParamStore, x_t, t: float, cond: ScoreCondition,
     k = cfg.model.conv_kernel
     x = _tensor(store, x_t)
     w_x, w_mel = _input_weights(store, cfg)
-    terms = cond.terms
-    if terms is None:
-        terms = ConditionTerms(speaker_rows(store, cond.speaker),
-                               _mel_term(store, cond.mel, w_mel, cfg))
-    if x.data.ndim != 2 or x.shape[0] != terms.mel_in.shape[-2]:
-        raise nc.ShapeError(f"sample/condition frames disagree: {x.shape} vs "
-                            f"{terms.mel_in.shape}")
+    rows, mel_in = cond.terms or (speaker_rows(store, cond.speaker),
+                                  _mel_term(store, cond.mel, w_mel, cfg))
+    if x.data.ndim != 2 or x.shape[0] != mel_in.shape[-2]:
+        raise nc.ShapeError(f"sample/condition frames disagree: {x.shape} vs {mel_in.shape}")
     t_emb = nc.Tensor(nc.sinusoidal_embedding(t, cfg.model.dec_channels, dtype=store.dtype))
     adds = {b: t_add + s_add for b, t_add, s_add in
-            zip(_BLOCKS, _block_rows(store, t_emb, "time"), terms.speaker_rows)}
+            zip(_BLOCKS, _block_rows(store, t_emb, "time"), rows)}
 
     def block(h: nc.Tensor, name: str) -> nc.Tensor:
         return _res_block(store, h, adds[name], f"dec.{name}", k)
 
-    h0 = block(nc.conv1d(x, w_x, kernel=k) + terms.mel_in, "down0")
+    h0 = block(nc.conv1d(x, w_x, kernel=k) + mel_in, "down0")
     h1 = block(nc.avg_pool_rows(h0), "down1")
     h2 = block(nc.avg_pool_rows(h1), "mid")
     u1 = block(_upsample_to(h2, h1.shape[-2]) + h1, "up1")
@@ -238,21 +225,17 @@ def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
     """Guided score; gamma 0 short-circuits to the conditional score and is
     the only setting that may omit ``cond_mel``.
 
-    At gamma > 0 both conditions go through one ``score_net`` pass with
-    their mel terms stacked on a batch axis.  Guidance holds the speaker
-    fixed, so both conditions must carry the same speaker vector; two
-    conditions not prepared together by ``prepare_conditions`` are
-    prepared, and so checked, here.  ``score_net`` runs off the tape, its
-    result checked once for finiteness.
+    At gamma > 0 both conditions go through one ``score_net`` pass as the
+    batch ``guidance_pair(cond_c, cond_mel)``.  That pair, prepared or not,
+    may also be passed itself as ``cond_c`` with ``cond_mel`` None, as
+    ``reverse_sample`` does.  ``score_net`` runs off the tape, its result
+    checked once for finiteness.
     """
     if gamma != 0.0:
-        if cond_mel is None:
+        if cond_mel is not None:
+            cond_c = guidance_pair(cond_c, cond_mel)
+        elif len(cond_c.mel.shape) != 3:
             raise ValueError(f"guidance at gamma={gamma} needs the unconditional mel condition")
-        if cond_c.terms is None or cond_mel.terms is None or (
-                cond_c.terms.speaker_rows is not cond_mel.terms.speaker_rows):
-            cond_c, cond_mel = prepare_conditions(store, [cond_c, cond_mel], cfg)
-        mel_in = nc.Tensor(np.stack([cond_c.terms.mel_in.data, cond_mel.terms.mel_in.data]))
-        cond_c = replace(cond_c, terms=ConditionTerms(cond_c.terms.speaker_rows, mel_in))
 
     def forward():
         with nc.no_grad():
@@ -287,20 +270,22 @@ def reverse_sample(store: nc.ParamStore, mu: np.ndarray, speaker: np.ndarray,
     """``integrate`` from X_1 ~ N(mu, temperature * I) with the guided score.
 
     Deterministic given the seed: randomness enters only through X_1.  The
-    conditions' terms (speaker projections and mel input-layer terms) are
-    computed once, not once per step; ``cond_mel`` is used only at gamma > 0.
+    condition, at gamma > 0 the guidance pair of mu and ``cond_mel`` (used
+    only then), is prepared once, not once per step.
     """
+    if guidance.gamma != 0.0 and cond_mel is None:
+        raise ValueError(f"guidance at gamma={guidance.gamma} needs the unconditional mel "
+                         "condition")
     mu = np.asarray(mu, dtype=store.dtype)
     spk = np.asarray(speaker, dtype=store.dtype)
     rng = np.random.default_rng(seed)
     x = mu + math.sqrt(guidance.temperature) * rng.standard_normal(mu.shape).astype(store.dtype)
-    conds = [ScoreCondition(mu, spk)]
-    if guidance.gamma != 0.0 and cond_mel is not None:
-        conds.append(ScoreCondition(np.asarray(cond_mel, dtype=store.dtype), spk))
+    cond = ScoreCondition(mu, spk)
+    if guidance.gamma != 0.0:
+        cond = guidance_pair(cond, ScoreCondition(np.asarray(cond_mel, dtype=store.dtype), spk))
     try:
-        cond_c, *cond_u = prepare_conditions(store, conds, cfg)
+        cond = prepare_condition(store, cond, cfg)
     except nc.NumericError as exc:
         raise nc.NumericError(f"sampler conditions: {exc}") from exc
-    cond_u = cond_u[0] if cond_u else None
-    return integrate(lambda x_t, t: cfg_score(store, x_t, t, cond_c, cond_u, guidance.gamma,
+    return integrate(lambda x_t, t: cfg_score(store, x_t, t, cond, None, guidance.gamma,
                                               schedule, cfg), x, mu, schedule, guidance.steps)

@@ -86,6 +86,17 @@ def test_load_wav_names_a_data_chunk_cut_mid_sample(tmp_path):
         audio.load_wav(p)
 
 
+def test_load_wav_names_an_empty_data_chunk(tmp_path):
+    import wave
+    p = tmp_path / "empty.wav"
+    with wave.open(str(p), "wb") as f:
+        f.setnchannels(1)
+        f.setsampwidth(2)
+        f.setframerate(22050)
+    with pytest.raises(audio.AudioFormatError, match="empty.wav: empty data chunk"):
+        audio.load_wav(p)
+
+
 def test_load_wav_names_a_zero_header_rate(tmp_path):
     p = tmp_path / "rate0.wav"
     audio.write_wav(p, audio.Waveform(np.zeros(100), 22050))

@@ -1,6 +1,7 @@
 import argparse
 import re
 import shlex
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,31 @@ def test_stats_names_corrupt_file(tmp_path, cfg_file, capsys):
     bad.write_bytes(b"junk")
     assert run_cli("stats", "--corpus", tmp_path / "c", "--config", cfg_file) == 1
     assert "spk0_u0.wav" in capsys.readouterr().err
+
+
+def write_pcm(path, n_samples, rate):
+    """A mono 16-bit WAV of ``n_samples`` zeros; 0 writes an empty data chunk."""
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(1)
+        f.setsampwidth(2)
+        f.setframerate(rate)
+        f.writeframes(bytes(2 * n_samples))
+
+
+# a WAV shorter than one FFT window, one with no samples at all, and one
+# sample at 96 kHz, which resamples to none at 22.05 kHz
+AUDIO_FAULTS = [pytest.param(300, 22050, "need at least 1024 samples, got 300", id="short"),
+                pytest.param(0, 22050, "empty data chunk", id="empty"),
+                pytest.param(1, 96000, "empty waveform", id="resampled-empty")]
+
+
+@pytest.mark.parametrize("n_samples, rate, fault", AUDIO_FAULTS)
+def test_stats_names_a_wav_too_short_to_analyse(tmp_path, cfg_file, capsys, n_samples, rate,
+                                                fault):
+    toydata.make_corpus(tmp_path / "c", n_speakers=2, utts_per_speaker=2, seconds=1.5, seed=1)
+    write_pcm(tmp_path / "c" / "spk1_u0.wav", n_samples, rate)
+    assert run_cli("stats", "--corpus", tmp_path / "c", "--config", cfg_file) == 1
+    assert f"spk1_u0.wav: {fault}" in capsys.readouterr().err
 
 
 # -- train ----------------------------------------------------------------------
@@ -524,6 +550,18 @@ def test_synth_refuses_a_bad_seed_or_gamma_by_name(trained, corpus_dir, tmp_path
                    "--ref", corpus_dir / "spk0_u0.wav", "--out", out, "--steps", "2",
                    "--stats", trained["stats"], flag, value) == 1
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_samples, rate, fault", AUDIO_FAULTS)
+def test_synth_names_a_ref_too_short_to_analyse(trained, tmp_path, capsys, n_samples, rate,
+                                                fault):
+    ref = tmp_path / "short_ref.wav"
+    write_pcm(ref, n_samples, rate)
+    out = tmp_path / "o.wav"
+    assert run_cli("synth", "--checkpoint", trained["checkpoint"], "--text", "ab",
+                   "--ref", ref, "--out", out, "--steps", "2", "--stats", trained["stats"]) == 1
+    assert f"short_ref.wav: {fault}" in capsys.readouterr().err
     assert not out.exists()
 
 

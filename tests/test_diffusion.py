@@ -146,7 +146,7 @@ def test_prepared_condition_matches_raw(tiny_cfg, dtype, batch):
     x = rng.standard_normal((6, tiny_cfg.audio.n_mels))
     cond = diffusion.ScoreCondition(rng.standard_normal(batch + (6, tiny_cfg.audio.n_mels)),
                                     rng.standard_normal(tiny_cfg.model.d_spk))
-    [prepared] = diffusion.prepare_conditions(store, [cond], tiny_cfg)
+    prepared = diffusion.prepare_condition(store, cond, tiny_cfg)
     with nc.no_grad():
         raw = diffusion.score_net(store, x, 0.3, cond, tiny_cfg)
         ahead = diffusion.score_net(store, x, 0.3, prepared, tiny_cfg)
@@ -302,9 +302,15 @@ def two_pass_cfg_score(store, x, t, c_c, c_mel, gamma, cfg):
                                   diffusion.score_from_noise(eps_u, t, SCHED), gamma)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("frames", [5, 6])
-def test_one_pass_cfg_matches_two_pass_reference(tiny_cfg, monkeypatch, dtype, frames):
+# cfg_score's two input forms: the two raw conditions, and the prepared
+# guidance pair with no cond_mel, as reverse_sample passes it
+CFG_INPUTS = [pytest.param(frames, dtype, pair,
+                           id=("pair-" if pair else "") + f"{frames}-{dtype.__name__}")
+              for pair in (False, True) for frames in (5, 6) for dtype in (np.float32, np.float64)]
+
+
+@pytest.mark.parametrize("frames, dtype, pair", CFG_INPUTS)
+def test_one_pass_cfg_matches_two_pass_reference(tiny_cfg, monkeypatch, frames, dtype, pair):
     store = nc.ParamStore(dtype=dtype)
     diffusion.init_params(store, tiny_cfg, np.random.default_rng(0))
     randomize_head(store)
@@ -314,6 +320,9 @@ def test_one_pass_cfg_matches_two_pass_reference(tiny_cfg, monkeypatch, dtype, f
     c_c = diffusion.ScoreCondition(rng.standard_normal((frames, tiny_cfg.audio.n_mels)), spk)
     c_mel = diffusion.ScoreCondition(rng.standard_normal((frames, tiny_cfg.audio.n_mels)), spk)
     want = two_pass_cfg_score(store, x, 0.5, c_c, c_mel, 1.0, tiny_cfg)
+    if pair:
+        c_c, c_mel = diffusion.prepare_condition(
+            store, diffusion.guidance_pair(c_c, c_mel), tiny_cfg), None
 
     calls = []
     score_net = diffusion.score_net
@@ -334,6 +343,16 @@ def test_cfg_requires_one_speaker(tiny_cfg):
                                      rng.standard_normal(tiny_cfg.model.d_spk))
     with pytest.raises(ValueError, match="speaker"):
         diffusion.cfg_score(store, x, 0.5, c_c, c_mel, 1.0, SCHED, tiny_cfg)
+
+
+def test_cfg_requires_one_frame_count(tiny_cfg):
+    store = make_store(tiny_cfg)
+    rng = np.random.default_rng(19)
+    spk = rng.standard_normal(tiny_cfg.model.d_spk)
+    c_c = diffusion.ScoreCondition(rng.standard_normal((4, tiny_cfg.audio.n_mels)), spk)
+    c_mel = diffusion.ScoreCondition(rng.standard_normal((5, tiny_cfg.audio.n_mels)), spk)
+    with pytest.raises(nc.ShapeError, match="frame count"):
+        diffusion.cfg_score(store, c_c.mel, 0.5, c_c, c_mel, 1.0, SCHED, tiny_cfg)
 
 
 # -- sampler --------------------------------------------------------------------------
@@ -364,16 +383,22 @@ def test_gamma_zero_sampling_matches_conditional_bitwise(tiny_cfg):
     assert np.array_equal(with_uncond, without)
 
 
-def test_guidance_without_unconditional_mel_is_refused(tiny_cfg):
+def test_guidance_without_unconditional_mel_is_refused(tiny_cfg, monkeypatch):
+    # refused before any work: nothing is prepared and the net never runs
+    def no_work(*args):
+        raise AssertionError("guidance started work")
+
+    for name in ("prepare_condition", "score_net"):
+        monkeypatch.setattr(diffusion, name, no_work)
     store = make_store(tiny_cfg)
     rng = np.random.default_rng(14)
     mu = rng.standard_normal((4, tiny_cfg.audio.n_mels))
     spk = rng.standard_normal(tiny_cfg.model.d_spk)
     cond = diffusion.ScoreCondition(mu, spk)
-    with pytest.raises(ValueError, match="unconditional mel"):
+    with pytest.raises(ValueError, match="needs the unconditional mel"):
         diffusion.cfg_score(store, mu, 0.5, cond, None, 1.0, SCHED, tiny_cfg)
     guide = diffusion.GuidanceConfig(gamma=0.5, steps=2, temperature=1.0)
-    with pytest.raises(ValueError, match="unconditional mel"):
+    with pytest.raises(ValueError, match="needs the unconditional mel"):
         diffusion.reverse_sample(store, mu, spk, guide, SCHED, tiny_cfg, seed=1)
 
 
@@ -399,7 +424,7 @@ def test_reverse_sample_prepares_its_conditions_once(tiny_cfg, monkeypatch):
     mu = rng.standard_normal((5, tiny_cfg.audio.n_mels))
     c_mel = rng.standard_normal((5, tiny_cfg.audio.n_mels))
     spk = rng.standard_normal(tiny_cfg.model.d_spk)
-    calls = {"prepare_conditions": 0, "score_net": 0}
+    calls = {"prepare_condition": 0, "score_net": 0}
 
     def counted(name):
         fn = getattr(diffusion, name)
@@ -413,7 +438,7 @@ def test_reverse_sample_prepares_its_conditions_once(tiny_cfg, monkeypatch):
         monkeypatch.setattr(diffusion, name, counted(name))
     guide = diffusion.GuidanceConfig(gamma=1.0, steps=4, temperature=1.0)
     diffusion.reverse_sample(store, mu, spk, guide, SCHED, tiny_cfg, seed=2, cond_mel=c_mel)
-    assert calls == {"prepare_conditions": 1, "score_net": 4}
+    assert calls == {"prepare_condition": 1, "score_net": 4}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,9 +1,12 @@
-"""Every module of src/difftts uses each name it imports.
+"""Every module of src/difftts uses each name it imports, and every private
+function or class it defines is used by src/difftts code, not only by tests.
 
-The ``__init__.py`` files are skipped: their imports are the package's exports.
+The ``__init__.py`` files are skipped by the import check: their imports are
+the package's exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "difftts"
 MODULES = sorted(p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py")
                  if p.name != "__init__.py")
+TREES = {p.relative_to(SRC).as_posix(): ast.parse(p.read_text(encoding="utf-8"))
+         for p in SRC.rglob("*.py")}
 
 
 def imported_names(tree: ast.AST) -> set[str]:
@@ -23,12 +28,36 @@ def imported_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def names_used(node: ast.AST) -> Counter:
+    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+
+
+def private_definitions(tree: ast.Module) -> list:
+    """The module-level ``def _name`` and ``class _Name`` nodes, dunders aside."""
+    return [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+            and n.name.startswith("_") and not n.name.startswith("__")]
+
+
+SOURCE_USES = sum((names_used(tree) for tree in TREES.values()), Counter())
+
+
 def test_the_scan_sees_every_module():
     assert {"pipeline.py", "numcore/tensor.py"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(imported_names(tree) - used) == []
+    tree = TREES[module]
+    assert sorted(imported_names(tree) - set(names_used(tree))) == []
+
+
+def test_the_private_scan_sees_definitions():
+    assert "_res_block" in {d.name for d in private_definitions(TREES["diffusion.py"])}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_private_definition_only_tests_reach(module):
+    # a use inside the definition itself, such as a recursive call, does not count
+    unused = [d.name for d in private_definitions(TREES[module])
+              if SOURCE_USES[d.name] == names_used(d)[d.name]]
+    assert unused == []
