@@ -12,7 +12,7 @@ import hashlib
 import math
 import re
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -63,10 +63,7 @@ class AnalysisConfig:
             raise ValueError("need 0 <= fmin < fmax <= Nyquist")
 
     def fingerprint(self) -> bytes:
-        text = "|".join(
-            f"{k}={getattr(self, k)!r}"
-            for k in ("sample_rate", "n_fft", "hop_length", "n_mels", "fmin", "fmax")
-        )
+        text = "|".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
         return hashlib.sha256(text.encode("utf-8")).digest()
 
 

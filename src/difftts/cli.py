@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -12,6 +11,7 @@ from .audio import (AudioFormatError, ConfigMismatchError, TooShortError, load_m
                     load_wav, mean_mel, save_mel_stats, write_wav)
 from .config import Config, load_config
 from .corpus import load_corpus
+from .diffusion import GuidanceConfig
 from .textfront import build_vocab
 
 
@@ -47,10 +47,6 @@ def cmd_train(args) -> int:
     else:
         vocab = build_vocab([u.text for u in utterances], cfg.token_mode)
         trainer = pipeline.new_trainer(cfg, vocab, utterances)
-    # a relative stats path is stored relative to the checkpoint's directory,
-    # so `difftts synth` finds the file from any working directory
-    stored_stats = (str(stats_path) if stats_path.is_absolute()
-                    else os.path.relpath(stats_path, Path(args.out).parent))
     epochs = args.epochs if args.epochs is not None else cfg.train.epochs
     log_path = Path(args.log) if args.log else Path(args.out).with_suffix(".losses.csv")
     if not args.resume:
@@ -61,7 +57,7 @@ def cmd_train(args) -> int:
     while trainer.epoch < last:
         n = min(every - trainer.epoch % every, last - trainer.epoch)
         lines = pipeline.train_epochs(trainer, utterances, n,
-                                      checkpoint_path=args.out, stats_path=stored_stats)
+                                      checkpoint_path=args.out, stats_path=stats_path)
         with open(log_path, "a", encoding="utf-8") as f:
             f.writelines(line + "\n" for line in lines)
     print(f"trained {epochs} epochs -> {args.out} (loss log: {log_path})")
@@ -69,17 +65,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    trainer, stats_ref = pipeline.load_trainer(args.checkpoint)
-    # a stored relative path is relative to the checkpoint's directory
-    stats_path = Path(args.stats) if args.stats else Path(args.checkpoint).parent / stats_ref
+    trainer, stored_stats = pipeline.load_trainer(args.checkpoint)
+    stats_path = Path(args.stats) if args.stats else stored_stats
     stats = load_mel_stats(stats_path)
     reference = load_wav(args.ref)
-    guidance = trainer.model.cfg.guidance
-    gamma = guidance.gamma if args.gamma is None else args.gamma
-    steps = guidance.steps if args.steps is None else args.steps
     try:
         result = pipeline.synthesize(trainer.model, stats, args.text, reference,
-                                     gamma=gamma, steps=steps, seed=args.seed)
+                                     gamma=args.gamma, steps=args.steps, seed=args.seed)
     except ConfigMismatchError as exc:
         raise ConfigMismatchError(f"{stats_path}: {exc}") from exc
     except (AudioFormatError, TooShortError) as exc:  # the reference, resampled, is too short
@@ -131,10 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True)
     p.add_argument("--ref", required=True, help="reference WAV of the target speaker")
     p.add_argument("--out", required=True, help="output WAV path")
-    p.add_argument("--gamma", type=float,
-                   help="guidance scale; default: the config's guidance.gamma (0 disables)")
-    p.add_argument("--steps", type=int,
-                   help="sampler steps; default: the config's guidance.steps")
+    p.add_argument("--gamma", type=float, default=GuidanceConfig.gamma,
+                   help="guidance scale, 0 disables (default: %(default)s)")
+    p.add_argument("--steps", type=int, default=GuidanceConfig.steps,
+                   help="sampler steps (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats", help="override the checkpoint's stats reference")
     p.set_defaults(func=cmd_synth)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any
+from typing import Any, ClassVar
 
 from .audio import AnalysisConfig
 from .textfront import MODES
@@ -19,7 +19,7 @@ class ModelConfig:
     d_model: int = 128
     n_enc_blocks: int = 4
     n_heads: int = 2
-    conv_kernel: int = 3
+    conv_kernel: ClassVar[int] = 3
     d_spk: int = 64
     dec_channels: int = 64
     ref_seconds: float = 2.0
@@ -31,8 +31,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by the head count")
-        if self.conv_kernel % 2 == 0 or self.conv_kernel < 1:
-            raise ConfigError("conv_kernel must be odd and positive")
 
 
 @dataclass(frozen=True)
@@ -40,13 +38,11 @@ class NoiseSchedule:
     """Linear beta schedule; training draws t from [t_min, 1) and sampling stops at t_min."""
     beta0: float = 0.05
     beta1: float = 20.0
-    t_min: float = 1e-3
+    t_min: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         if not (0 < self.beta0 < self.beta1):
             raise ConfigError("need 0 < beta0 < beta1")
-        if not (0 < self.t_min < 1):
-            raise ConfigError("t_min must lie in (0, 1)")
 
     def beta(self, t: float) -> float:
         return self.beta0 + (self.beta1 - self.beta0) * t
@@ -82,29 +78,11 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class GuidanceConfig:
-    """Sampler settings; gamma and steps are the `difftts synth` defaults."""
-    gamma: float = 1.0
-    steps: int = 50
-    temperature: float = 1.5
-
-    def __post_init__(self):
-        if not 0 <= self.gamma < math.inf:
-            raise ConfigError(f"guidance.gamma must be non-negative and finite, got {self.gamma}")
-        if self.steps < 1:
-            raise ConfigError(f"guidance.steps must be positive, got {self.steps}")
-        if not 0 < self.temperature < math.inf:
-            raise ConfigError(f"guidance.temperature must be positive and finite, "
-                              f"got {self.temperature}")
-
-
-@dataclass(frozen=True)
 class Config:
     audio: AnalysisConfig = field(default_factory=AnalysisConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     schedule: NoiseSchedule = field(default_factory=NoiseSchedule)
     train: TrainConfig = field(default_factory=TrainConfig)
-    guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
     token_mode: str = "characters"
 
     def __post_init__(self):
@@ -131,6 +109,9 @@ class Config:
 
 # every field of Config with a dataclass default is a key=value section
 _SECTIONS = {f.name: f.default_factory for f in fields(Config) if f.default_factory is not MISSING}
+# "section.field" -> (section, field, value type)
+_KEYS = {f"{s}.{f.name}": (s, f.name, type(f.default))
+         for s, cls in _SECTIONS.items() for f in fields(cls)}
 
 
 def _parse_value(key: str, raw: str, kind: type) -> Any:
@@ -159,16 +140,10 @@ def parse_config(text: str) -> Config:
         if key == "token_mode":
             top["token_mode"] = raw.strip()
             continue
-        if "." not in key:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        section, name = key.split(".", 1)
-        cls = _SECTIONS.get(section)
-        if cls is None:
-            raise ConfigError(f"line {lineno}: unknown section {section!r}")
-        kinds = {f.name: type(getattr(cls(), f.name)) for f in fields(cls)}
-        if name not in kinds:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        by_section[section][name] = _parse_value(key, raw, kinds[name])
+        section, name, kind = _KEYS[key]
+        by_section[section][name] = _parse_value(key, raw, kind)
     try:
         return Config(**{s: _SECTIONS[s](**kw) for s, kw in by_section.items()}, **top)
     except ValueError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numcore as nc
-from .config import Config, GuidanceConfig, NoiseSchedule
+from .config import Config, ConfigError, NoiseSchedule
 
 
 @dataclass
@@ -262,6 +262,23 @@ def integrate(score, x: np.ndarray, mu: np.ndarray, schedule: NoiseSchedule,
         drift = (0.5 * (mu - x) - s) * schedule.beta(t)
         x = (x - h * drift).astype(x.dtype)
     return x
+
+
+@dataclass(frozen=True)
+class GuidanceConfig:
+    """Sampler settings; gamma and steps are the `difftts synth` defaults."""
+    gamma: float = 1.0
+    steps: int = 50
+    temperature: float = 1.5
+
+    def __post_init__(self):
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError(f"guidance.gamma must be non-negative and finite, got {self.gamma}")
+        if self.steps < 1:
+            raise ConfigError(f"guidance.steps must be positive, got {self.steps}")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(f"guidance.temperature must be positive and finite, "
+                              f"got {self.temperature}")
 
 
 def reverse_sample(store: nc.ParamStore, mu: np.ndarray, speaker: np.ndarray,

@@ -222,6 +222,8 @@ def _wrap(x, like: Tensor) -> Tensor:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     """An op's output, checked only in a replay; ``backward``'s enclosing function names the op."""
+    if not isinstance(data, np.ndarray):  # numpy returns scalars for 0-d operands
+        data = np.asarray(data)
     if _check_ops:
         op = backward.__qualname__.split(".")[0]
         if op not in _MOVES:

@@ -7,7 +7,9 @@ unbroken one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -108,7 +110,7 @@ def _step_loss(model: TTSModel, step: int, batch: np.ndarray, utterances: list[U
 
 def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
                  log_lines: list[str] | None = None,
-                 checkpoint_path=None, stats_path: str = "") -> list[str]:
+                 checkpoint_path=None, stats_path="") -> list[str]:
     """Run n_epochs more epochs; returns the per-epoch loss-log lines.
 
     Given ``checkpoint_path``, saves the trainer once, after the last epoch.
@@ -161,8 +163,12 @@ def _require_stats_path(path, stats_path) -> None:
             f"{path}: a checkpoint must name its mel stats file (written by `difftts stats`)")
 
 
-def save_trainer(path, trainer: Trainer, stats_path: str) -> None:
+def save_trainer(path, trainer: Trainer, stats_path) -> None:
     _require_stats_path(path, stats_path)
+    # a relative stats path is stored relative to the checkpoint's directory,
+    # so `load_trainer` finds the file from any working directory
+    if not os.path.isabs(stats_path):
+        stats_path = os.path.relpath(stats_path, Path(path).parent)
     model = trainer.model
     tensors = {f"param.{name}": p.value for name, p in model.store.items()}
     for name, _ in model.store.items():
@@ -173,8 +179,9 @@ def save_trainer(path, trainer: Trainer, stats_path: str) -> None:
     checkpoint.save_checkpoint(path, metadata, tensors)
 
 
-def load_trainer(path, cfg: Config | None = None) -> tuple[Trainer, str]:
-    """Rebuild a trainer from a checkpoint; returns it plus the stats path.
+def load_trainer(path, cfg: Config | None = None) -> tuple[Trainer, Path]:
+    """Rebuild a trainer from a checkpoint; returns it plus the stats path,
+    a stored relative path resolved against the checkpoint's directory.
 
     A requested ``cfg`` must equal the stored config, whose keys missing from
     the file take their defaults.
@@ -211,7 +218,7 @@ def load_trainer(path, cfg: Config | None = None) -> tuple[Trainer, str]:
         opt.m[name] = record(f"adam.m.{name}", p.value.shape)
         opt.v[name] = record(f"adam.v.{name}", p.value.shape)
     opt.t, trainer.epoch = step, epoch
-    return trainer, stats_path
+    return trainer, Path(path).parent / stats_path
 
 
 # -- synthesis -------------------------------------------------------------------
@@ -235,7 +242,7 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
         raise ValueError(f"seed must be non-negative, got {seed}")
     cfg = model.cfg
     store = model.store
-    guide = replace(cfg.guidance, gamma=gamma, steps=steps)
+    guide = diffusion.GuidanceConfig(gamma=gamma, steps=steps)
     if stats.fingerprint != cfg.audio.fingerprint():
         raise ConfigMismatchError("mel stats were computed under a different analysis config "
                                   "than the model's; rerun `difftts stats` with its config")

@@ -270,6 +270,17 @@ def test_mean_mel_permutation_invariant_exactly():
     assert np.array_equal(fwd.mean_frame, rev.mean_frame)
 
 
+def test_fingerprint_bytes_are_stable():
+    # every stats file on disk holds this fingerprint; new bytes would refuse them all
+    assert CFG.fingerprint().hex().startswith("ab3a71339f375114")
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(audio.AnalysisConfig)])
+def test_fingerprint_covers_every_analysis_field(name):
+    moved = dataclasses.replace(CFG, **{name: getattr(CFG, name) + 1})
+    assert moved.fingerprint() != CFG.fingerprint()
+
+
 def test_mean_mel_config_mismatch():
     bad = audio.MelSpectrogram(np.zeros((2, 40)), CFG.sample_rate, CFG.hop_length, 40)
     with pytest.raises(audio.ConfigMismatchError):

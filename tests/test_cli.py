@@ -11,8 +11,9 @@ from difftts import aligner, checkpoint, cli, pipeline, toydata
 from difftts.audio import (AnalysisConfig, AudioFormatError, ConfigMismatchError, MelStats,
                            load_mel_stats, load_wav, resample, save_mel_stats)
 from difftts.checkpoint import CheckpointError, load_checkpoint
-from difftts.config import Config, GuidanceConfig, parse_config
+from difftts.config import Config, parse_config
 from difftts.corpus import CorpusError, load_corpus, read_speaker_map
+from difftts.diffusion import GuidanceConfig
 from difftts.textfront import build_vocab, encode_text
 
 TINY_CFG_TEXT = """
@@ -280,9 +281,9 @@ def test_checkpoint_round_trip_and_resume(corpus_dir, cfg_file, tmp_path):
     left = pipeline.new_trainer(cfg, vocab, utts)
     left_lines = pipeline.train_epochs(left, utts, 2)
     ck = tmp_path / "half.ckpt"
-    pipeline.save_trainer(ck, left, "stats.bin")
+    pipeline.save_trainer(ck, left, tmp_path / "stats.bin")
     resumed, stats_ref = pipeline.load_trainer(ck)
-    assert stats_ref == "stats.bin"
+    assert stats_ref == tmp_path / "stats.bin"
     resumed_lines = pipeline.train_epochs(resumed, utts, 2)
 
     assert solo_lines[:2] == left_lines
@@ -304,12 +305,12 @@ def test_checkpoint_config_mismatch_rejected(corpus_dir, cfg_file, tmp_path):
     trainer = pipeline.new_trainer(cfg, build_vocab([u.text for u in utts]), utts)
     ck = tmp_path / "m.ckpt"
     pipeline.save_trainer(ck, trainer, "stats.bin")
-    other = parse_config(TINY_CFG_TEXT + "train.seed=99\nguidance.steps=7\n")
+    other = parse_config(TINY_CFG_TEXT + "train.seed=99\nschedule.beta1=10\n")
     with pytest.raises(CheckpointError) as info:
         pipeline.load_trainer(ck, other)
     message = str(info.value)
     assert "train.seed=3 (requested train.seed=99)" in message
-    assert "guidance.steps=50 (requested guidance.steps=7)" in message
+    assert "schedule.beta1=20.0 (requested schedule.beta1=10.0)" in message
     assert "train.epochs" not in message
 
 
@@ -346,39 +347,34 @@ def test_step_counter_past_float32_precision_survives(corpus_dir, tmp_path):
 
 
 def test_checkpoint_with_a_removed_key_names_file_and_key(corpus_dir, tmp_path):
-    # the config lines of a checkpoint written while audio.win_length and
-    # model.dur_heads were still settings
+    # the config lines of a checkpoint written while each key was still a setting
     trainer, _ = tiny_trainer(corpus_dir)
     ck = tmp_path / "old.ckpt"
     pipeline.save_trainer(ck, trainer, "stats.bin")
     meta, tensors = load_checkpoint(ck)
-    lines = []
-    for line in meta["config"]:
-        lines.append(line)
-        if line.startswith("audio.hop_length="):
-            lines.append("audio.win_length=1024")
-        if line.startswith("model.n_heads="):
-            lines.append("model.dur_heads=1")
-    checkpoint.save_checkpoint(ck, {**meta, "config": lines}, tensors)
-    with pytest.raises(CheckpointError, match=r"old\.ckpt: .*unknown key 'audio\.win_length'"):
-        pipeline.load_trainer(ck)
+    for key in ("audio.win_length", "model.dur_heads", "model.conv_kernel", "schedule.t_min",
+                "guidance.gamma", "guidance.steps", "guidance.temperature"):
+        checkpoint.save_checkpoint(ck, {**meta, "config": meta["config"] + [f"{key}=1"]}, tensors)
+        with pytest.raises(CheckpointError,
+                           match=rf"old\.ckpt: bad checkpoint metadata: .*unknown key '{key}'"):
+            pipeline.load_trainer(ck)
 
 
 def test_checkpoint_without_a_defaulted_key_loads(corpus_dir, tmp_path, monkeypatch):
-    # stands in for a checkpoint written before guidance.temperature existed
+    # stands in for a checkpoint written before model.ref_seconds existed
     trainer, _ = tiny_trainer(corpus_dir)
     cfg = trainer.model.cfg
-    assert cfg.guidance.temperature == GuidanceConfig().temperature
+    assert cfg.model.ref_seconds == Config().model.ref_seconds
     full = Config.to_lines
     monkeypatch.setattr(Config, "to_lines", lambda self: [
-        line for line in full(self) if not line.startswith("guidance.temperature=")])
+        line for line in full(self) if not line.startswith("model.ref_seconds=")])
     ck = tmp_path / "old.ckpt"
     pipeline.save_trainer(ck, trainer, "stats.bin")
     monkeypatch.undo()
     for requested in (cfg, None):
         loaded, _ = pipeline.load_trainer(ck, requested)
         assert loaded.model.cfg == cfg
-    assert "guidance.temperature" not in str(load_checkpoint(ck)[0]["config"])
+    assert "model.ref_seconds" not in str(load_checkpoint(ck)[0]["config"])
 
 
 def test_missing_adam_moment_is_named(corpus_dir, tmp_path, monkeypatch):
@@ -606,12 +602,21 @@ def test_absolute_stats_path_is_stored_as_given(trained):
     assert checkpoint.load_checkpoint(trained["checkpoint"])[0]["melstats"] == str(trained["stats"])
 
 
-def test_synth_defaults_come_from_checkpoint_config(corpus_dir, tmp_path, monkeypatch):
-    cfg_path = tmp_path / "guided.cfg"
-    cfg_path.write_text(TINY_CFG_TEXT + "guidance.steps=3\nguidance.gamma=0\n", encoding="utf-8")
-    ck = tmp_path / "m.ckpt"
-    assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_path, "--out", ck,
-                   "--epochs", 1) == 0
+def test_checkpoint_saved_from_the_library_finds_its_stats(trained, corpus_dir, tmp_path,
+                                                          monkeypatch):
+    # a relative stats path that does not lie beside the checkpoint
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "melstats.bin").write_bytes(trained["stats"].read_bytes())
+    trainer, _ = pipeline.load_trainer(trained["checkpoint"])
+    pipeline.save_trainer("sub/lib.ckpt", trainer, "melstats.bin")
+    assert checkpoint.load_checkpoint("sub/lib.ckpt")[0]["melstats"] == "../melstats.bin"
+    assert pipeline.load_trainer("sub/lib.ckpt")[1] == Path("sub/../melstats.bin")
+    assert run_cli("synth", "--checkpoint", "sub/lib.ckpt", "--text", "ab",
+                   "--ref", corpus_dir / "spk0_u0.wav", "--out", "o.wav", "--steps", 2) == 0
+
+
+def test_synth_defaults_come_from_guidance_config(trained, corpus_dir, tmp_path, monkeypatch):
     seen = []
     real = pipeline.synthesize
 
@@ -620,11 +625,11 @@ def test_synth_defaults_come_from_checkpoint_config(corpus_dir, tmp_path, monkey
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "synthesize", spy)
-    synth = ("synth", "--checkpoint", ck, "--text", "ab", "--ref", corpus_dir / "spk0_u0.wav",
-             "--out", tmp_path / "o.wav")
+    synth = ("synth", "--checkpoint", trained["checkpoint"], "--text", "ab",
+             "--ref", corpus_dir / "spk0_u0.wav", "--out", tmp_path / "o.wav")
     assert run_cli(*synth) == 0
     assert run_cli(*synth, "--gamma", "0.5", "--steps", "2") == 0
-    assert seen == [(0.0, 3), (0.5, 2)]
+    assert seen == [(GuidanceConfig().gamma, GuidanceConfig().steps), (0.5, 2)]
 
 
 # -- eval -------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from difftts import config as cf
+from difftts.diffusion import GuidanceConfig
 
 
 def test_defaults_are_paper_conventions():
@@ -40,7 +41,9 @@ def test_unknown_key_rejected():
         cf.parse_config("nonsense=3\n")
 
 
-@pytest.mark.parametrize("key", ["model.dur_heads", "audio.win_length"])
+@pytest.mark.parametrize("key", ["model.dur_heads", "audio.win_length", "guidance.gamma",
+                                 "guidance.steps", "guidance.temperature", "model.conv_kernel",
+                                 "schedule.t_min"])
 def test_removed_key_names_line_and_key(tmp_path, key):
     p = tmp_path / "old.cfg"
     p.write_text(f"train.seed=1\n{key}=1\n", encoding="utf-8")
@@ -52,9 +55,9 @@ def test_readme_example_config_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Config files", 1)[1]
     block = section.split("```\n", 2)[1]
-    assert "train.seed=0" in block
-    cfg = cf.parse_config(block)
-    assert cfg.model.d_model == 128 and cfg.token_mode == "characters"
+    keys = [line.split("=")[0] for line in block.splitlines()]
+    assert keys == [line.split("=")[0] for line in cf.Config().to_lines()]
+    assert cf.parse_config(block) == cf.Config()
 
 
 def test_invalid_values_rejected():
@@ -72,7 +75,7 @@ def test_config_equality_follows_values():
 
 
 @pytest.mark.parametrize("line", ["train.learning_rate=nan", "schedule.beta1=inf",
-                                  "guidance.gamma=nan", "audio.fmax=-inf"])
+                                  "model.ref_seconds=nan", "audio.fmax=-inf"])
 def test_non_finite_values_rejected(line):
     key = line.split("=")[0]
     with pytest.raises(cf.ConfigError, match=f"{key}: non-finite"):
@@ -147,8 +150,12 @@ def test_zero_head_count_raises_config_error(line):
                                   "guidance.gamma=-0.5", "guidance.temperature=0"])
 def test_out_of_range_training_and_guidance_values_name_key_and_value(line):
     key, value = line.split("=")
+    section, name = key.split(".")
     with pytest.raises(cf.ConfigError, match=re.escape(key) + f" must be .*, got {value}"):
-        cf.parse_config(line + "\n")
+        if section == "guidance":  # sampler arguments, not config keys
+            GuidanceConfig(**{name: type(getattr(GuidanceConfig, name))(value)})
+        else:
+            cf.parse_config(line + "\n")
 
 
 # `dataclasses.replace` skips the file parser, so the dataclasses refuse these themselves
@@ -156,6 +163,6 @@ def test_out_of_range_training_and_guidance_values_name_key_and_value(line):
                                          ("train", "learning_rate")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_value_set_by_replace_is_refused(section, key, value):
-    base = getattr(cf.Config(), section)
+    base = GuidanceConfig() if section == "guidance" else getattr(cf.Config(), section)
     with pytest.raises(cf.ConfigError, match=f"{section}.{key} must be .*finite, got {value}"):
         dataclasses.replace(base, **{key: value})

@@ -272,6 +272,19 @@ def test_non_finite_is_an_error():
         nc.exp(t([[1000.0]]))  # exp 1000 -> inf
 
 
+@pytest.mark.parametrize("op", [nc.add, nc.mul, lambda a, b: nc.tanh(a)],
+                         ids=["add", "mul", "tanh"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ops_of_0d_operands_hold_an_array(op, dtype):
+    a, b = nc.Tensor(np.array(0.5, dtype=dtype)), nc.Tensor(np.array(2.0, dtype=dtype))
+    out = op(a, b)
+    want = op(nc.Tensor(np.array([0.5], dtype=dtype)), nc.Tensor(np.array([2.0], dtype=dtype)))
+    assert type(out.data) is np.ndarray and out.shape == ()
+    assert out.data.dtype == dtype and out.data.tobytes() == want.data.tobytes()
+    out.data[...] = 0  # a numpy scalar would refuse item assignment
+    assert out.item() == 0
+
+
 @pytest.mark.parametrize("op, name", [(nc.tanh, "tanh"), (nc.exp, "exp"), (nc.relu, "relu"),
                                       (nc.softmax_rows, "softmax_rows")])
 def test_saturating_ops_refuse_a_non_finite_input(op, name):

@@ -9,7 +9,7 @@ form (Song et al., "Score-Based Generative Modeling through SDEs", ICLR
 import numpy as np
 
 from difftts import diffusion
-from difftts.config import GuidanceConfig, NoiseSchedule
+from difftts.config import NoiseSchedule
 
 SCHED = NoiseSchedule()
 A, S = 0.7, 2.0   # the data's offset from mu and its standard deviation
@@ -31,7 +31,7 @@ def prior_draw(seed):
 
 def test_exact_score_recovers_the_data_mean():
     mu, x1 = prior_draw(0)
-    out = diffusion.integrate(exact_score(mu), x1, mu, SCHED, GuidanceConfig().steps)
+    out = diffusion.integrate(exact_score(mu), x1, mu, SCHED, diffusion.GuidanceConfig().steps)
     assert out.dtype == np.float64
     assert abs(np.mean(out - mu) - A) < 0.01
 
