@@ -228,15 +228,16 @@ def stft_magnitude(samples: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
     return np.abs(_stft_complex(samples, cfg))
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum frames[i] into a signal at offset i * hop, one tap block at a time.
+def _overlap_add_rows(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum frames[i] into a signal at offset i * hop, one tap block at a time;
+    the signal as rows of ``hop`` samples, zero past its end.
 
     Tap block r (taps r*hop up to (r+1)*hop) of every frame lands on a
-    distinct hop-long chunk, so one vectorized add places it.  A sample's
-    later frames reach it through earlier tap blocks; running the blocks
-    from last to first therefore adds each sample's frames in increasing
-    frame order, the order of a per-frame loop, and gives its exact sums.
-    The signal has the dtype of ``frames``.
+    distinct row, so one vectorized add places it.  A sample's later frames
+    reach it through earlier tap blocks; running the blocks from last to
+    first therefore adds each sample's frames in increasing frame order, the
+    order of a per-frame loop, and gives its exact sums.  The rows have the
+    dtype of ``frames``.
     """
     n_frames, n = frames.shape
     blocks = -(-n // hop)  # ceil
@@ -245,13 +246,34 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
         lo = r * hop
         width = min(hop, n - lo)
         out[r:r + n_frames, :width] += frames[:, lo:lo + width]
-    return out.reshape(-1)[:(n_frames - 1) * hop + n]
+    return out
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """The overlap-added signal of ``frames`` at offsets i * hop."""
+    n_frames, n = frames.shape
+    return _overlap_add_rows(frames, hop).reshape(-1)[:(n_frames - 1) * hop + n]
 
 
 def _istft_norm(n_frames: int, win: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
-    """Overlap-added window squares, floored: the least-squares iSTFT divisor."""
-    wsq = np.broadcast_to(win * win, (n_frames, win.size))
-    return np.maximum(_overlap_add(wsq, cfg.hop_length), 1e-10)
+    """Overlap-added window squares, floored: the least-squares iSTFT divisor,
+    in the dtype of ``win``.
+
+    Row j of hop samples sums tap blocks j - i of frames i, so every row from
+    ``blocks - 1`` to ``n_frames - 1`` holds all blocks in the same order and
+    the same value.  Overlap-adding ``2 * blocks`` frames gives that interior
+    row, the head before it and the tail after it, each exactly as the full
+    sum has them; the interior row is then repeated.
+    """
+    hop = cfg.hop_length
+    blocks = -(-win.size // hop)
+    m = min(n_frames, 2 * blocks)
+    rows = _overlap_add_rows(np.broadcast_to(win * win, (m, win.size)), hop)
+    if m < n_frames:
+        interior = np.broadcast_to(rows[blocks - 1], (n_frames - blocks + 1, hop))
+        rows = np.concatenate([rows[:blocks - 1], interior, rows[m:]])
+    out = rows.reshape(-1)[:(n_frames - 1) * hop + win.size]
+    return np.maximum(out, 1e-10, out=out)
 
 
 def _istft_frames(frames: np.ndarray, cfg: AnalysisConfig, win: np.ndarray,
@@ -386,8 +408,43 @@ def _mel_to_linear_magnitude(m: MelSpectrogram, cfg: AnalysisConfig) -> np.ndarr
     return np.maximum(np.exp(m.values) @ _mel_basis(cfg)[1].T, 0.0)
 
 
-def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int, seed: int) -> np.ndarray:
-    """Fast Griffin-Lim: ``iterations`` inverse STFTs from a random phase.
+def _initial_phase(target: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
+    """Phase angles integrated over frames from ``target``'s own magnitude,
+    wrapped to [0, 2 pi) and rounded once to float32.
+
+    This is the time direction of phase-gradient heap integration (Prusa,
+    Balazs & Soendergaard, IEEE/ACM TASLP 2017).  Bin k's frequency in frame
+    n, in radians per sample, is its centre 2 pi k / n_fft plus the slope of
+    log |S| over frequency divided by the time variance of the Gaussian that
+    matches the Hann window, 0.25645 n_fft^2 / (2 pi).  The slope is a central
+    difference over bins, zero at DC and Nyquist, where the spectrum is even;
+    magnitudes are floored at LOG_FLOOR first, so a silent bin has a finite
+    log.  Frame 0 has phase 0, and frame n + 1 adds hop times the mean
+    frequency of frames n and n + 1.  The sums run in float64 and in turns,
+    which reach thousands, and only their fractional part is rounded to
+    float32: float32 cos and sin are slow and inexact far from zero.
+    """
+    n = cfg.n_fft
+    sigma2 = 0.25645 * n * n / (2.0 * np.pi)
+    log_mag = np.log(np.maximum(target, LOG_FLOOR))
+    half_step = np.empty_like(log_mag)
+    np.subtract(log_mag[:, 2:], log_mag[:, :-2], out=half_step[:, 1:-1])
+    half_step[:, 0] = half_step[:, -1] = 0.0
+    del log_mag
+    # half a hop's advance in turns, hop / (4 pi) times the frequency; the
+    # difference spans two bins of 2 pi / n
+    half_step *= cfg.hop_length / (4.0 * np.pi) * n / (4.0 * np.pi * sigma2)
+    half_step += cfg.hop_length / (2.0 * n) * np.arange(half_step.shape[1])
+    turns = np.empty_like(half_step)
+    turns[0] = 0.0
+    np.add(half_step[:-1], half_step[1:], out=turns[1:])
+    np.cumsum(turns, axis=0, out=turns)
+    turns -= np.floor(turns, out=half_step)
+    return np.multiply(turns, 2.0 * np.pi, out=np.empty(turns.shape, dtype=np.float32))
+
+
+def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int) -> np.ndarray:
+    """Fast Griffin-Lim: ``iterations`` inverse STFTs from ``_initial_phase``.
 
     Each pass takes ``proj``, the STFT of the current signal, extrapolates
     it to ``proj + FGLA_MOMENTUM * (proj - prev)`` (``prev`` is the last
@@ -396,10 +453,11 @@ def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int, seed: 
 
     The passes run in float32 and complex64, the precision of the model's
     mel: ``target``, the window and the normaliser are cast once per call,
-    and the result is float32.  The initial phase angles are drawn in
-    float64 and rounded once.  Every FFT writes into a buffer allocated
-    here: ``rfft`` into ``proj``, which swaps with ``prev`` each pass, and
-    ``irfft`` into the one frame buffer.
+    and the result is float32.  The initial phase is computed before any
+    pass buffer exists, so its float64 temporaries never coexist with them.
+    Every FFT writes into a buffer allocated here: ``rfft`` into ``proj``,
+    which swaps with ``prev`` each pass, and ``irfft`` into the one frame
+    buffer.
 
     Both FFTs are orthonormal, so ``target`` is scaled by ``1/sqrt(n_fft)``.
     With the default norm, ``rfft`` passes numpy a Python int scale, which
@@ -407,19 +465,17 @@ def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int, seed: 
     in float64 and cast back down.
     """
     n_frames = target.shape[0]
+    mag = _initial_phase(target, cfg)  # the angles, until the passes reuse the buffer
     win64 = _window(cfg)
     win = win64.astype(np.float32)
     norm = _istft_norm(n_frames, win64, cfg).astype(np.float32)
     target = (target / math.sqrt(cfg.n_fft)).astype(np.float32)
     frames = np.empty((n_frames, cfg.n_fft), dtype=np.float32)
-    mag = np.empty(target.shape, dtype=np.float32)
     spec = np.empty(target.shape, dtype=np.complex64)
     proj = np.empty_like(spec)
     prev = np.zeros_like(spec)
-    rng = np.random.default_rng(seed)
-    angle = np.multiply(rng.random(target.shape), 2.0 * np.pi, out=mag)
-    np.cos(angle, out=spec.real)
-    np.sin(angle, out=spec.imag)
+    np.cos(mag, out=spec.real)
+    np.sin(mag, out=spec.imag)
     spec *= target
     np.fft.irfft(spec, n=cfg.n_fft, axis=1, norm="ortho", out=frames)
     x = _istft_frames(frames, cfg, win, norm)
@@ -437,8 +493,7 @@ def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int, seed: 
     return x
 
 
-def griffin_lim(m: MelSpectrogram, cfg: AnalysisConfig, iterations: int = 16,
-                seed: int = 0) -> Waveform:
+def griffin_lim(m: MelSpectrogram, cfg: AnalysisConfig, iterations: int = 12) -> Waveform:
     """Invert a log-mel spectrogram by mel pseudo-inverse + phase recovery."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -449,8 +504,8 @@ def griffin_lim(m: MelSpectrogram, cfg: AnalysisConfig, iterations: int = 16,
         value = m.values[bad][~ok[bad]][0]
         raise ValueError(f"mel frame {bad} of {m.frames} holds {value}; Griffin-Lim needs "
                          f"finite log-magnitudes no larger than {LOG_CEILING}")
-    target = _mel_to_linear_magnitude(m, cfg)
-    x = _gl_iterate(target, cfg, iterations, seed)
+    # no reference to the float64 magnitudes outlives _gl_iterate's cast
+    x = _gl_iterate(_mel_to_linear_magnitude(m, cfg), cfg, iterations)
     peak = np.abs(x).max()
     if peak > 1.0:
         x = x / peak

@@ -157,10 +157,11 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
 
 def _require_stats_path(path, stats_path) -> None:
     # `difftts synth` finds the mel stats through this path, so a checkpoint
-    # that names none could not be synthesized from
-    if not str(stats_path):
+    # that names no file, such as "", "." or "..", could not be synthesized from
+    if os.path.basename(os.fspath(stats_path)) in ("", ".", ".."):
         raise checkpoint.CheckpointError(
-            f"{path}: a checkpoint must name its mel stats file (written by `difftts stats`)")
+            f"{path}: a checkpoint must name its mel stats file (written by `difftts stats`), "
+            f"not {os.fspath(stats_path)!r}")
 
 
 def save_trainer(path, trainer: Trainer, stats_path) -> None:
@@ -276,5 +277,5 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
     mel_values = np.clip(mel_values.astype(np.float64), np.log(LOG_FLOOR), LOG_CEILING)
     mel = MelSpectrogram(mel_values, cfg.audio.sample_rate,
                          cfg.audio.hop_length, cfg.audio.n_mels)
-    wave = griffin_lim(mel, cfg.audio, seed=seed)
+    wave = griffin_lim(mel, cfg.audio)
     return SynthesisResult(mel, durations, wave)

@@ -459,7 +459,7 @@ def test_griffin_lim_recovers_tone():
     # +-1 bin check lives at n_fft resolution
     w = audio.Waveform(sine(440, 1.0, 22050), 22050)
     m = audio.wav_to_mel(w, CFG)
-    out = audio.griffin_lim(m, CFG, iterations=24, seed=0)
+    out = audio.griffin_lim(m, CFG, iterations=24)
     spec = audio.stft_magnitude(out.samples, CFG).mean(axis=0)
     got = np.argmax(spec) * CFG.sample_rate / CFG.n_fft
     assert abs(got - 440.0) <= CFG.sample_rate / CFG.n_fft + 1e-9
@@ -468,14 +468,14 @@ def test_griffin_lim_recovers_tone():
 def test_griffin_lim_floor_mel_is_silent():
     m = audio.MelSpectrogram(np.full((40, 80), np.log(audio.LOG_FLOOR)),
                              CFG.sample_rate, CFG.hop_length, 80)
-    out = audio.griffin_lim(m, CFG, iterations=4, seed=0)
+    out = audio.griffin_lim(m, CFG, iterations=4)
     assert np.sqrt(np.mean(out.samples ** 2)) < 1e-3
 
 
-def griffin_lim_error(m, cfg, iterations, seed=0):
+def griffin_lim_error(m, cfg, iterations):
     """Magnitude reconstruction error after the given iteration count."""
     target = audio._mel_to_linear_magnitude(m, cfg)
-    x = audio._gl_iterate(target, cfg, iterations, seed)
+    x = audio._gl_iterate(target, cfg, iterations)
     got = np.abs(audio._stft_complex(x, cfg))[:target.shape[0]]
     return float(np.linalg.norm(got - target))
 
@@ -483,8 +483,8 @@ def griffin_lim_error(m, cfg, iterations, seed=0):
 def test_griffin_lim_error_monotone_in_iterations():
     w = audio.Waveform(sine(523, 0.5, 22050), 22050)
     m = audio.wav_to_mel(w, CFG)
-    e1 = griffin_lim_error(m, CFG, iterations=8, seed=1)
-    e2 = griffin_lim_error(m, CFG, iterations=16, seed=1)
+    e1 = griffin_lim_error(m, CFG, iterations=8)
+    e2 = griffin_lim_error(m, CFG, iterations=16)
     assert e2 <= e1 + 1e-9
 
 
@@ -515,7 +515,7 @@ def test_fast_griffin_lim_beats_plain_at_twice_the_iterations(seconds):
     w = audio.Waveform(toydata.render_text(voice, text, CFG.sample_rate), CFG.sample_rate)
     target = audio._mel_to_linear_magnitude(audio.wav_to_mel(w, CFG), CFG)
     default = inspect.signature(audio.griffin_lim).parameters["iterations"].default
-    fast = spectral_convergence(audio._gl_iterate(target, CFG, default, 0), target, CFG)
+    fast = spectral_convergence(audio._gl_iterate(target, CFG, default), target, CFG)
     plain = spectral_convergence(plain_griffin_lim(target, CFG, 32, 0), target, CFG)
     assert fast <= plain
 
@@ -538,14 +538,18 @@ def istft_reference(spec, cfg, win, norm, fft_norm="backward"):
     return out[half:max(out.size - half, half + cfg.hop_length)]
 
 
-def gl_iterate_float64(target, cfg, iterations, seed):
+def random_angle(shape, seed):
+    # the uniformly random initial phase fast Griffin-Lim once started from
+    return (2 * np.pi * np.random.default_rng(seed).random(shape)).astype(np.float32)
+
+
+def gl_iterate_float64(target, cfg, iterations, angle):
     # fast Griffin-Lim in float64 and complex128, the precision it had
-    # before it ran at the model's float32
+    # before it ran at the model's float32, from the initial angles ``angle``
     n_frames = target.shape[0]
     win = audio._window(cfg)
     norm = audio._istft_norm(n_frames, win, cfg)
-    rng = np.random.default_rng(seed)
-    spec = target * np.exp(2j * np.pi * rng.random(target.shape))
+    spec = target * np.exp(1j * angle.astype(np.float64))
     x = istft_reference(spec, cfg, win, norm)
     prev = np.zeros_like(spec)
     for _ in range(iterations - 1):
@@ -559,17 +563,15 @@ def gl_iterate_float64(target, cfg, iterations, seed):
     return x
 
 
-def gl_iterate_reference(target, cfg, iterations, seed):
-    # fast Griffin-Lim in float32 and complex64, written with a fresh array
-    # for every intermediate; its FFTs are orthonormal, so the target is
-    # scaled by 1/sqrt(n_fft)
+def gl_iterate_reference(target, cfg, iterations, angle):
+    # fast Griffin-Lim in float32 and complex64 from the float32 initial
+    # angles ``angle``, written with a fresh array for every intermediate;
+    # its FFTs are orthonormal, so the target is scaled by 1/sqrt(n_fft)
     n_frames = target.shape[0]
     win = audio._window(cfg)
     norm = audio._istft_norm(n_frames, win, cfg).astype(np.float32)
     win = win.astype(np.float32)
     target = (target / np.sqrt(cfg.n_fft)).astype(np.float32)
-    rng = np.random.default_rng(seed)
-    angle = (2 * np.pi * rng.random(target.shape)).astype(np.float32)
     spec = target * (np.cos(angle) + 1j * np.sin(angle))
     x = istft_reference(spec, cfg, win, norm, "ortho")
     prev = np.zeros_like(spec)
@@ -587,15 +589,16 @@ def gl_iterate_reference(target, cfg, iterations, seed):
 def test_gl_iterate_bit_identical_to_allocating_loop(hop, n_frames):
     cfg = audio.AnalysisConfig(hop_length=hop)
     target = np.abs(np.random.default_rng(hop + n_frames).standard_normal((n_frames, 513)))
+    angle = audio._initial_phase(target, cfg)
     for iterations in (1, 2, 16):
-        got = audio._gl_iterate(target, cfg, iterations, seed=n_frames)
-        want = gl_iterate_reference(target, cfg, iterations, seed=n_frames)
+        got = audio._gl_iterate(target, cfg, iterations)
+        want = gl_iterate_reference(target, cfg, iterations, angle)
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
 
-def toy_target(seconds, cfg):
-    voice = toydata.default_voices(2)[1]
+def toy_target(seconds, cfg, voice=1):
+    voice = toydata.default_voices(4)[voice]
     text = toydata.random_text(np.random.default_rng(seconds), seconds, voice.tempo)
     w = audio.Waveform(toydata.render_text(voice, text, cfg.sample_rate), cfg.sample_rate)
     return audio._mel_to_linear_magnitude(audio.wav_to_mel(w, cfg), cfg)
@@ -607,12 +610,83 @@ def test_gl_iterate_float32_matches_float64_loop(hop, seconds):
     cfg = audio.AnalysisConfig(hop_length=hop)
     target = toy_target(seconds, cfg)
     iterations = inspect.signature(audio.griffin_lim).parameters["iterations"].default
-    got = audio._gl_iterate(target, cfg, iterations, 0)
-    want = gl_iterate_float64(target, cfg, iterations, 0)
+    got = audio._gl_iterate(target, cfg, iterations)
+    want = gl_iterate_float64(target, cfg, iterations, audio._initial_phase(target, cfg))
     assert got.dtype == np.float32 and want.dtype == np.float64
     assert abs(spectral_convergence(got, target, cfg)
                - spectral_convergence(want, target, cfg)) <= 1e-4
     assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
+
+
+def initial_phase_reference(target, cfg):
+    # bin centre plus log-magnitude slope over the Gaussian time variance of
+    # the Hann window, integrated frame by frame in radians
+    n = cfg.n_fft
+    sigma2 = 0.25645 * n * n / (2 * np.pi)
+    log_mag = np.log(np.maximum(target, audio.LOG_FLOOR))
+    slope = np.zeros_like(log_mag)
+    slope[:, 1:-1] = (log_mag[:, 2:] - log_mag[:, :-2]) / (2 * 2 * np.pi / n)
+    omega = 2 * np.pi * np.arange(target.shape[1]) / n + slope / sigma2
+    phase = np.zeros_like(omega)
+    for i in range(1, len(phase)):
+        phase[i] = phase[i - 1] + cfg.hop_length * 0.5 * (omega[i - 1] + omega[i])
+    return phase
+
+
+@pytest.mark.parametrize("hop", [256, 512])
+@pytest.mark.parametrize("n_frames", [1, 2, 189])
+def test_initial_phase_matches_frame_by_frame_integration(hop, n_frames):
+    cfg = audio.AnalysisConfig(hop_length=hop)
+    target = toy_target(2, cfg)[:n_frames]
+    got = audio._initial_phase(target, cfg)
+    want = initial_phase_reference(target, cfg)
+    assert got.dtype == np.float32 and got.shape == target.shape
+    assert got.min() >= 0 and got.max() <= np.float32(2 * np.pi)
+    assert np.abs(np.angle(np.exp(1j * (got - want)))).max() <= 1e-6
+
+
+@pytest.mark.parametrize("hop", [256, 512])
+@pytest.mark.parametrize("voice, seconds", [(1, 2), (1, 4), (1, 6), (0, 4), (2, 4), (3, 4)])
+def test_default_iterations_from_the_integrated_phase_match_16_from_a_random_one(
+        hop, voice, seconds):
+    cfg = audio.AnalysisConfig(hop_length=hop)
+    target = toy_target(seconds, cfg, voice)
+    default = inspect.signature(audio.griffin_lim).parameters["iterations"].default
+    got = spectral_convergence(audio._gl_iterate(target, cfg, default), target, cfg)
+    random16 = gl_iterate_reference(target, cfg, 16, random_angle(target.shape, 0))
+    assert got <= spectral_convergence(random16, target, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(1).uniform(-8.0, 0.0, (1, 80)),
+    np.random.default_rng(2).uniform(-8.0, 0.0, (2, 80)),
+    np.full((40, 80), np.log(audio.LOG_FLOOR)),
+], ids=["one-frame", "two-frames", "all-floor"])
+def test_griffin_lim_edge_mels_give_finite_audio_without_warnings(values):
+    # the floor mel's linear magnitudes hold exact zeros, whose log the
+    # initial phase must not take
+    m = audio.MelSpectrogram(values, CFG.sample_rate, CFG.hop_length, 80)
+    assert np.isfinite(audio.griffin_lim(m, CFG).samples).all()
+
+
+def test_griffin_lim_peak_memory_on_the_longest_synth_mel():
+    # 336 frames at hop 512 is the longest mel perfbench's synth-guided
+    # workload inverts; the initial phase's float64 temporaries must be gone
+    # before the passes allocate their buffers
+    import tracemalloc
+    cfg = audio.AnalysisConfig(hop_length=512)
+    values = np.random.default_rng(0).uniform(np.log(audio.LOG_FLOOR), 0.0, (336, 80))
+    m = audio.MelSpectrogram(values, cfg.sample_rate, cfg.hop_length, 80)
+    audio._mel_basis(cfg)  # cached once per config, outside the bound
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        audio.griffin_lim(m, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 10 * 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 85.0])
@@ -689,6 +763,20 @@ def test_istft_matches_per_frame_reference(hop):
     got = audio._istft_frames(np.fft.irfft(spec, n=cfg.n_fft, axis=1), cfg, win,
                               audio._istft_norm(9, win, cfg))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hop", [256, 300, 512, 1024])
+def test_istft_norm_equals_the_whole_overlap_add(hop, dtype):
+    cfg = audio.AnalysisConfig(hop_length=hop)
+    win = audio._window(cfg).astype(dtype)
+    blocks = -(-cfg.n_fft // hop)
+    for n_frames in [*range(1, 2 * blocks + 2), 189]:
+        wsq = np.broadcast_to(win * win, (n_frames, win.size))
+        want = np.maximum(audio._overlap_add(wsq, hop), 1e-10)
+        got = audio._istft_norm(n_frames, win, cfg)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("real, cplx", [(np.float64, np.complex128), (np.float32, np.complex64)])

@@ -598,6 +598,17 @@ def test_synth_finds_stats_relative_to_the_checkpoint(corpus_dir, tmp_path, monk
     assert (tmp_path / "o.wav").exists()
 
 
+@pytest.mark.parametrize("stats", [Path(""), ".", ".."])
+def test_a_stats_path_that_names_no_file_is_refused(corpus_dir, tmp_path, stats):
+    trainer, utts = tiny_trainer(corpus_dir)
+    ck = tmp_path / "libck.ckpt"
+    with pytest.raises(CheckpointError, match=r"libck\.ckpt: .*mel stats file"):
+        pipeline.save_trainer(ck, trainer, stats)
+    with pytest.raises(CheckpointError, match=r"libck\.ckpt: .*mel stats file"):
+        pipeline.train_epochs(trainer, utts, 1, checkpoint_path=ck, stats_path=stats)
+    assert trainer.step == 0 and not ck.exists()
+
+
 def test_absolute_stats_path_is_stored_as_given(trained):
     assert checkpoint.load_checkpoint(trained["checkpoint"])[0]["melstats"] == str(trained["stats"])
 
