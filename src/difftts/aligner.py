@@ -83,7 +83,8 @@ def mas(log_prior: np.ndarray) -> AlignmentResult:
         assignment[f - 1] = p
 
     durations = _durations_from_assignment(assignment, n_p)
-    return AlignmentResult(assignment, durations, _path_score(log_prior, assignment))
+    # the last cell sums the path's priors in frame order, as ``_path_score`` does
+    return AlignmentResult(assignment, durations, float(q[n_f - 1, n_p]))
 
 
 def brute_force_align(log_prior: np.ndarray) -> AlignmentResult:

@@ -129,6 +129,8 @@ def load_wav(path) -> Waveform:
             raw = w.readframes(w.getnframes())
     except (wave.Error, EOFError) as exc:
         raise AudioFormatError(f"{path}: malformed WAV ({exc or 'truncated header'})") from exc
+    except RuntimeError as exc:  # wave's chunk reader, sent past the RIFF chunk's end
+        raise AudioFormatError(f"{path}: malformed WAV (a chunk size runs past the file)") from exc
     if rate <= 0:
         raise AudioFormatError(f"{path}: header sample rate {rate} is not positive")
     if not raw:
@@ -255,25 +257,27 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return _overlap_add_rows(frames, hop).reshape(-1)[:(n_frames - 1) * hop + n]
 
 
-def _istft_norm(n_frames: int, win: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
-    """Overlap-added window squares, floored: the least-squares iSTFT divisor,
-    in the dtype of ``win``.
+def _istft_norm(n_frames: int, cfg: AnalysisConfig, dtype) -> np.ndarray:
+    """Overlap-added squares of ``_window(cfg)``, floored: the least-squares
+    iSTFT divisor, summed in float64 and returned in ``dtype``.
 
     Row j of hop samples sums tap blocks j - i of frames i, so every row from
     ``blocks - 1`` to ``n_frames - 1`` holds all blocks in the same order and
     the same value.  Overlap-adding ``2 * blocks`` frames gives that interior
     row, the head before it and the tail after it, each exactly as the full
-    sum has them; the interior row is then repeated.
+    sum has them; these rows are floored and cast, and the interior row is
+    then repeated.
     """
+    win = _window(cfg)
     hop = cfg.hop_length
     blocks = -(-win.size // hop)
     m = min(n_frames, 2 * blocks)
     rows = _overlap_add_rows(np.broadcast_to(win * win, (m, win.size)), hop)
+    rows = np.maximum(rows, 1e-10, out=rows).astype(dtype, copy=False)
     if m < n_frames:
         interior = np.broadcast_to(rows[blocks - 1], (n_frames - blocks + 1, hop))
         rows = np.concatenate([rows[:blocks - 1], interior, rows[m:]])
-    out = rows.reshape(-1)[:(n_frames - 1) * hop + win.size]
-    return np.maximum(out, 1e-10, out=out)
+    return rows.reshape(-1)[:(n_frames - 1) * hop + win.size]
 
 
 def _istft_frames(frames: np.ndarray, cfg: AnalysisConfig, win: np.ndarray,
@@ -329,11 +333,8 @@ def _mel_basis(cfg: AnalysisConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def wav_to_mel(w: Waveform, cfg: AnalysisConfig) -> MelSpectrogram:
-    """Log-mel analysis; requires the waveform to match the config rate."""
-    if w.sample_rate != cfg.sample_rate:
-        raise ConfigMismatchError(
-            f"waveform rate {w.sample_rate} != config rate {cfg.sample_rate}; resample first")
-    mag = stft_magnitude(w.samples, cfg)
+    """Log-mel analysis at the config rate, resampling ``w`` to it first."""
+    mag = stft_magnitude(resample(w, cfg.sample_rate).samples, cfg)
     mel = mag @ _mel_basis(cfg)[0].T
     values = np.log(np.maximum(mel, LOG_FLOOR))
     return MelSpectrogram(values, cfg.sample_rate, cfg.hop_length, cfg.n_mels)
@@ -466,9 +467,8 @@ def _gl_iterate(target: np.ndarray, cfg: AnalysisConfig, iterations: int) -> np.
     """
     n_frames = target.shape[0]
     mag = _initial_phase(target, cfg)  # the angles, until the passes reuse the buffer
-    win64 = _window(cfg)
-    win = win64.astype(np.float32)
-    norm = _istft_norm(n_frames, win64, cfg).astype(np.float32)
+    win = _window(cfg).astype(np.float32)
+    norm = _istft_norm(n_frames, cfg, np.float32)
     target = (target / math.sqrt(cfg.n_fft)).astype(np.float32)
     frames = np.empty((n_frames, cfg.n_fft), dtype=np.float32)
     spec = np.empty(target.shape, dtype=np.complex64)

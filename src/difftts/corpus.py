@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .audio import (AudioFormatError, MelSpectrogram, TooShortError, load_wav, resample,
-                    wav_to_mel)
+from .audio import AudioFormatError, MelSpectrogram, TooShortError, load_wav, wav_to_mel
 from .config import Config
 from .durpred import ReferenceUnavailableError
 
@@ -48,7 +47,7 @@ def read_speaker_map(path) -> dict[str, str]:
 
 
 def load_corpus(corpus_dir, cfg: Config) -> list[Utterance]:
-    """Read, resample, and mel-analyse every utterance listed in speakers.tsv."""
+    """Read and mel-analyse every utterance listed in speakers.tsv."""
     root = Path(corpus_dir)
     speakers = read_speaker_map(root / "speakers.tsv")
     utterances: list[Utterance] = []
@@ -64,7 +63,7 @@ def load_corpus(corpus_dir, cfg: Config) -> list[Utterance]:
         if not text:
             raise CorpusError(f"empty transcript {txt_path}")
         try:
-            mel = wav_to_mel(resample(wave, cfg.audio.sample_rate), cfg.audio)
+            mel = wav_to_mel(wave, cfg.audio)
         except (AudioFormatError, TooShortError) as exc:
             raise type(exc)(f"{wav_path}: {exc}") from exc
         utterances.append(Utterance(uid, speakers[uid], text, mel))
@@ -72,19 +71,15 @@ def load_corpus(corpus_dir, cfg: Config) -> list[Utterance]:
 
 
 def speaker_pools(utterances: list[Utterance]) -> dict[str, dict[str, MelSpectrogram]]:
-    """speaker -> {utterance id -> mel}, the reference-selection pools."""
+    """speaker -> {utterance id -> mel}, the reference-selection pools.
+
+    Training needs an unrelated reference, so every speaker needs two utterances.
+    """
     pools: dict[str, dict[str, MelSpectrogram]] = {}
     for utt in utterances:
         pools.setdefault(utt.speaker, {})[utt.utterance_id] = utt.mel
-    return pools
-
-
-def require_reference_material(utterances: list[Utterance]) -> None:
-    """Training needs an unrelated reference, so two utterances per speaker."""
-    counts: dict[str, int] = {}
-    for utt in utterances:
-        counts[utt.speaker] = counts.get(utt.speaker, 0) + 1
-    starved = sorted(s for s, n in counts.items() if n < 2)
+    starved = sorted(s for s, pool in pools.items() if len(pool) < 2)
     if starved:
         raise ReferenceUnavailableError(
             "speakers with a single utterance and no disjoint region: " + ", ".join(starved))
+    return pools

@@ -57,15 +57,16 @@ class DurationVector:
 # -- reference selection -----------------------------------------------------
 
 
-def crop_window(values: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
+def crop_window(mel: MelSpectrogram, length: int, rng: np.random.Generator) -> MelSpectrogram:
     """Random fixed-length window; shorter sources are tile-repeated first."""
-    frames = values.shape[0]
+    values, frames = mel.values, mel.frames
     if frames < length:
         reps = -(-length // frames)  # ceil
         values = np.tile(values, (reps, 1))
         frames = values.shape[0]
     start = int(rng.integers(0, frames - length + 1))
-    return values[start:start + length].copy()
+    return MelSpectrogram(values[start:start + length].copy(), mel.sample_rate,
+                          mel.hop_length, mel.n_mels)
 
 
 def crop_reference(pool: dict[str, MelSpectrogram], target_id: str,
@@ -76,11 +77,7 @@ def crop_reference(pool: dict[str, MelSpectrogram], target_id: str,
         raise ReferenceUnavailableError(
             f"speaker {speaker or '?'}: no utterance besides the target is available")
     pick = others[int(rng.integers(0, len(others)))]
-    source = pool[pick]
-    window = crop_window(source.values, length, rng)
-    return ReferenceMel(
-        MelSpectrogram(window, source.sample_rate, source.hop_length, source.n_mels),
-        pick, speaker)
+    return ReferenceMel(crop_window(pool[pick], length, rng), pick, speaker)
 
 
 # -- parameters ---------------------------------------------------------------

@@ -16,9 +16,9 @@ import numpy as np
 from . import aligner, checkpoint, diffusion, durpred, encoder, speaker
 from . import numcore as nc
 from .audio import (LOG_CEILING, LOG_FLOOR, ConfigMismatchError, MelSpectrogram, MelStats,
-                    Waveform, broadcast_mean, griffin_lim, resample, wav_to_mel)
+                    Waveform, broadcast_mean, griffin_lim, wav_to_mel)
 from .config import Config, parse_config
-from .corpus import Utterance, require_reference_material, speaker_pools
+from .corpus import Utterance, speaker_pools
 from .durpred import DurationVector
 from .textfront import PhonemeSequence, Vocabulary, encode_text
 
@@ -117,10 +117,9 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
     """
     if checkpoint_path is not None:
         _require_stats_path(checkpoint_path, stats_path)
-    require_reference_material(utterances)
+    pools = speaker_pools(utterances)
     model = trainer.model
     cfg = model.cfg
-    pools = speaker_pools(utterances)
     seqs = [model.encode_text(u.text) for u in utterances]
     for utt, seq in zip(utterances, seqs):
         if len(seq) > utt.mel.frames:
@@ -247,14 +246,11 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
     if stats.fingerprint != cfg.audio.fingerprint():
         raise ConfigMismatchError("mel stats were computed under a different analysis config "
                                   "than the model's; rerun `difftts stats` with its config")
-    ref_mel = wav_to_mel(resample(reference, cfg.audio.sample_rate), cfg.audio)
+    ref_mel = wav_to_mel(reference, cfg.audio)
     seq = model.encode_text(text)
 
-    window = durpred.crop_window(ref_mel.values, cfg.ref_frames,
-                                 np.random.default_rng([seed, _CROP]))
-    ref = durpred.ReferenceMel(
-        MelSpectrogram(window, ref_mel.sample_rate, ref_mel.hop_length, ref_mel.n_mels),
-        "reference", "reference")
+    window = durpred.crop_window(ref_mel, cfg.ref_frames, np.random.default_rng([seed, _CROP]))
+    ref = durpred.ReferenceMel(window, "reference", "reference")
 
     def front_end():
         with nc.no_grad():

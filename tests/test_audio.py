@@ -107,6 +107,17 @@ def test_load_wav_names_a_zero_header_rate(tmp_path):
         audio.load_wav(p)
 
 
+def test_load_wav_names_a_fmt_chunk_size_past_the_file(tmp_path):
+    # stdlib wave raises a bare RuntimeError when a chunk size points past the RIFF chunk
+    p = tmp_path / "fmtsize.wav"
+    audio.write_wav(p, audio.Waveform(np.zeros(64), 22050))
+    raw = bytearray(p.read_bytes())
+    raw[17] = 0xFF  # the fmt chunk's size field, bytes 16-19
+    p.write_bytes(bytes(raw))
+    with pytest.raises(audio.AudioFormatError, match="fmtsize.wav: malformed WAV"):
+        audio.load_wav(p)
+
+
 # -- resample -----------------------------------------------------------------
 
 def resample_one_shot(w, target_rate, taps=32):
@@ -205,9 +216,12 @@ def test_mel_too_short():
 
 
 def test_mel_rate_mismatch():
-    w = audio.Waveform(np.zeros(22050), 16000)
-    with pytest.raises(audio.ConfigMismatchError):
-        audio.wav_to_mel(w, CFG)
+    # a waveform at another rate is analysed as its resample to the config rate
+    w = audio.Waveform(sine(440, 1.0, 16000), 16000)
+    got = audio.wav_to_mel(w, CFG)
+    want = audio.wav_to_mel(audio.resample(w, CFG.sample_rate), CFG)
+    assert got.sample_rate == CFG.sample_rate
+    assert np.array_equal(got.values, want.values)
 
 
 def test_sine_hits_nearest_mel_filter():
@@ -492,7 +506,7 @@ def plain_griffin_lim(target, cfg, iterations, seed):
     """Griffin-Lim without momentum: the reference fast Griffin-Lim must beat."""
     n_frames = target.shape[0]
     win = audio._window(cfg)
-    norm = audio._istft_norm(n_frames, win, cfg)
+    norm = audio._istft_norm(n_frames, cfg, np.float64)
     rng = np.random.default_rng(seed)
     phase = np.exp(2j * np.pi * rng.random(target.shape))
     x = istft_reference(target * phase, cfg, win, norm)
@@ -548,7 +562,7 @@ def gl_iterate_float64(target, cfg, iterations, angle):
     # before it ran at the model's float32, from the initial angles ``angle``
     n_frames = target.shape[0]
     win = audio._window(cfg)
-    norm = audio._istft_norm(n_frames, win, cfg)
+    norm = audio._istft_norm(n_frames, cfg, np.float64)
     spec = target * np.exp(1j * angle.astype(np.float64))
     x = istft_reference(spec, cfg, win, norm)
     prev = np.zeros_like(spec)
@@ -569,7 +583,7 @@ def gl_iterate_reference(target, cfg, iterations, angle):
     # its FFTs are orthonormal, so the target is scaled by 1/sqrt(n_fft)
     n_frames = target.shape[0]
     win = audio._window(cfg)
-    norm = audio._istft_norm(n_frames, win, cfg).astype(np.float32)
+    norm = audio._istft_norm(n_frames, cfg, np.float32)
     win = win.astype(np.float32)
     target = (target / np.sqrt(cfg.n_fft)).astype(np.float32)
     spec = target * (np.cos(angle) + 1j * np.sin(angle))
@@ -761,7 +775,7 @@ def test_istft_matches_per_frame_reference(hop):
     norm = overlap_add_loop(np.tile(win * win, (9, 1)), hop)
     want = (overlap_add_loop(frames, hop) / np.maximum(norm, 1e-10))[512:-512]
     got = audio._istft_frames(np.fft.irfft(spec, n=cfg.n_fft, axis=1), cfg, win,
-                              audio._istft_norm(9, win, cfg))
+                              audio._istft_norm(9, cfg, np.float64))
     assert np.array_equal(got, want)
 
 
@@ -769,12 +783,13 @@ def test_istft_matches_per_frame_reference(hop):
 @pytest.mark.parametrize("hop", [256, 300, 512, 1024])
 def test_istft_norm_equals_the_whole_overlap_add(hop, dtype):
     cfg = audio.AnalysisConfig(hop_length=hop)
-    win = audio._window(cfg).astype(dtype)
+    # summed in float64, then cast: the float32 divisor Griffin-Lim has used
+    win = audio._window(cfg)
     blocks = -(-cfg.n_fft // hop)
     for n_frames in [*range(1, 2 * blocks + 2), 189]:
         wsq = np.broadcast_to(win * win, (n_frames, win.size))
-        want = np.maximum(audio._overlap_add(wsq, hop), 1e-10)
-        got = audio._istft_norm(n_frames, win, cfg)
+        want = np.maximum(audio._overlap_add(wsq, hop), 1e-10).astype(dtype)
+        got = audio._istft_norm(n_frames, cfg, dtype)
         assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()
 
@@ -785,7 +800,7 @@ def test_frames_and_istft_keep_the_input_precision(real, cplx):
     assert audio._frames(rng.standard_normal(3000).astype(real), CFG).dtype == real
     spec = (rng.standard_normal((9, 513)) + 1j * rng.standard_normal((9, 513))).astype(cplx)
     win = audio._window(CFG).astype(real)
-    norm = audio._istft_norm(9, win, CFG)
+    norm = audio._istft_norm(9, CFG, real)
     assert norm.dtype == real
     frames = np.fft.irfft(spec, n=CFG.n_fft, axis=1)
     assert audio._istft_frames(frames, CFG, win, norm).dtype == real

@@ -13,7 +13,7 @@ from difftts import numcore as nc
 from difftts.audio import AnalysisConfig, MelSpectrogram, MelStats, load_wav
 from difftts.config import Config, ModelConfig, TrainConfig
 from difftts.corpus import load_corpus, speaker_pools
-from difftts.numcore.tensor import _checking_ops
+from difftts.numcore import _checking_ops
 from difftts.textfront import build_vocab
 
 CFG = Config(
