@@ -13,7 +13,7 @@ import math
 import re
 import wave
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -52,18 +52,22 @@ class AnalysisConfig:
     n_fft: int = 1024
     hop_length: int = 256
     n_mels: int = 80
-    fmin: float = 0.0
-    fmax: float = 8000.0
+    fmin: ClassVar[float] = 0.0
 
     def __post_init__(self):
         for name in ("sample_rate", "n_fft", "hop_length", "n_mels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"audio.{name} must be positive, got {getattr(self, name)}")
-        if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
-            raise ValueError("need 0 <= fmin < fmax <= Nyquist")
+
+    @property
+    def fmax(self) -> float:
+        """Top edge of the mel band: 8 kHz, capped at Nyquist."""
+        return min(8000.0, self.sample_rate / 2)
 
     def fingerprint(self) -> bytes:
-        text = "|".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        # the band edges, once settings, stay hashed so older stats files still match
+        names = [f.name for f in fields(self)] + ["fmin", "fmax"]
+        text = "|".join(f"{name}={getattr(self, name)!r}" for name in names)
         return hashlib.sha256(text.encode("utf-8")).digest()
 
 
@@ -131,6 +135,8 @@ def load_wav(path) -> Waveform:
         raise AudioFormatError(f"{path}: malformed WAV ({exc or 'truncated header'})") from exc
     except RuntimeError as exc:  # wave's chunk reader, sent past the RIFF chunk's end
         raise AudioFormatError(f"{path}: malformed WAV (a chunk size runs past the file)") from exc
+    except OSError as exc:
+        raise AudioFormatError(f"cannot read {path}: {exc}") from exc
     if rate <= 0:
         raise AudioFormatError(f"{path}: header sample rate {rate} is not positive")
     if not raw:

@@ -22,7 +22,7 @@ class ModelConfig:
     conv_kernel: ClassVar[int] = 3
     d_spk: int = 64
     dec_channels: int = 64
-    ref_seconds: float = 2.0
+    ref_seconds: ClassVar[float] = 2.0
 
     def __post_init__(self):
         # positive first: the divisibility test below divides by the head count
@@ -89,7 +89,7 @@ class Config:
         if self.token_mode not in MODES:
             raise ConfigError(f"unknown token_mode {self.token_mode!r}")
         if self.ref_frames < 1:
-            raise ConfigError(f"model.ref_seconds={self.model.ref_seconds} gives a reference "
+            raise ConfigError(f"audio.hop_length={self.audio.hop_length} gives a reference "
                               f"window of {self.ref_frames} frames; it needs at least 1")
 
     @property
@@ -126,9 +126,10 @@ def _parse_value(key: str, raw: str, kind: type) -> Any:
 
 
 def parse_config(text: str) -> Config:
-    """Parse key=value lines; unknown keys are rejected."""
+    """Parse key=value lines; unknown and repeated keys are rejected."""
     by_section: dict[str, dict[str, Any]] = {name: {} for name in _SECTIONS}
     top: dict[str, Any] = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -137,6 +138,9 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: expected key=value")
         key, raw = line.split("=", 1)
         key = key.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         if key == "token_mode":
             top["token_mode"] = raw.strip()
             continue

@@ -237,11 +237,10 @@ def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
         elif len(cond_c.mel.shape) != 3:
             raise ValueError(f"guidance at gamma={gamma} needs the unconditional mel condition")
 
-    def forward():
-        with nc.no_grad():
-            return nc.require_finite(score_net(store, x_t, t, cond_c, cfg), "score_net output")
-
-    s = score_from_noise(nc.run_checked(forward).data, t, schedule)
+    with nc.no_grad():
+        eps = nc.run_checked(lambda: nc.require_finite(score_net(store, x_t, t, cond_c, cfg),
+                                                       "score_net output")).data
+    s = score_from_noise(eps, t, schedule)
     return s if gamma == 0.0 else guided_score(s[0], s[1], gamma)
 
 

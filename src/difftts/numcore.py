@@ -248,21 +248,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcastable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y and x != 1 and y != 1:
-            return False
-    return True
-
-
 # -- primitive ops -----------------------------------------------------
 
 
 def add(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
-    data = a.data + b.data
+    try:
+        data = a.data + b.data
+    except ValueError as exc:
+        raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}") from exc
 
     def backward(g):
         a._accumulate(_unbroadcast(g, a.shape))
@@ -273,9 +267,10 @@ def add(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    data = a.data * b.data
+    try:
+        data = a.data * b.data
+    except ValueError as exc:
+        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}") from exc
 
     def backward(g):
         a._accumulate(_unbroadcast(g * b.data, a.shape))

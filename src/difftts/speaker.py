@@ -54,11 +54,9 @@ def embed_tensor(store: nc.ParamStore, mel: MelSpectrogram) -> nc.Tensor:
 
 def embed_baseline(store: nc.ParamStore, mel: MelSpectrogram) -> SpeakerEmbedding:
     """Stats pooling -> learned linear map -> unit normalization."""
-    def forward():
-        with nc.no_grad():
-            return nc.require_finite(embed_tensor(store, mel), "speaker embedding")
-
-    vec = nc.run_checked(forward).data
+    with nc.no_grad():
+        vec = nc.run_checked(lambda: nc.require_finite(embed_tensor(store, mel),
+                                                       "speaker embedding")).data
     return SpeakerEmbedding(vec.astype(np.float64))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import struct
 
@@ -11,8 +12,7 @@ from difftts import audio, checkpoint, toydata
 
 
 CFG = audio.AnalysisConfig()
-SMALL = audio.AnalysisConfig(sample_rate=22050, n_fft=512, hop_length=128, n_mels=20,
-                             fmax=8000.0)
+SMALL = audio.AnalysisConfig(sample_rate=22050, n_fft=512, hop_length=128, n_mels=20)
 
 
 def sine(freq, seconds, rate, amp=0.5):
@@ -236,6 +236,23 @@ def test_sine_hits_nearest_mel_filter():
     assert abs(int(np.argmax(mean_over_time)) - expected_bin) <= 1
 
 
+def htk_filterbank(cfg, fmax):
+    """The filterbank over [0, ``fmax``] Hz, every filter at once."""
+    edges = audio.mel_to_hz(np.linspace(audio.hz_to_mel(0.0), audio.hz_to_mel(fmax),
+                                        cfg.n_mels + 2))
+    lo, mid, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    freqs = np.linspace(0.0, cfg.sample_rate / 2.0, cfg.n_fft // 2 + 1)
+    return np.maximum(0.0, np.minimum((freqs - lo) / (mid - lo), (hi - freqs) / (hi - mid)))
+
+
+# an 8 kHz config needs no setting: its band's top edge drops to Nyquist
+@pytest.mark.parametrize("rate, top", [(22050, 8000.0), (16000, 8000.0), (8000, 4000.0)])
+def test_mel_band_is_8_khz_capped_at_nyquist(rate, top):
+    cfg = audio.AnalysisConfig(sample_rate=rate)
+    assert cfg.fmax == top
+    assert audio.mel_filterbank(cfg).tobytes() == htk_filterbank(cfg, top).tobytes()
+
+
 def test_filterbank_nonnegative_and_covering():
     fb = audio.mel_filterbank(CFG)
     assert np.all(fb >= 0.0)
@@ -289,10 +306,22 @@ def test_fingerprint_bytes_are_stable():
     assert CFG.fingerprint().hex().startswith("ab3a71339f375114")
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(audio.AnalysisConfig)])
-def test_fingerprint_covers_every_analysis_field(name):
-    moved = dataclasses.replace(CFG, **{name: getattr(CFG, name) + 1})
-    assert moved.fingerprint() != CFG.fingerprint()
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(audio.AnalysisConfig)]
+                         + ["fmin", "fmax"])
+def test_fingerprint_covers_every_analysis_field(name, monkeypatch):
+    before = CFG.fingerprint()
+    if name in ("fmin", "fmax"):  # the band edges are class constants: move the class's
+        monkeypatch.setattr(audio.AnalysisConfig, name, property(lambda self: 100.0))
+        assert CFG.fingerprint() != before
+    else:
+        assert dataclasses.replace(CFG, **{name: getattr(CFG, name) + 1}).fingerprint() != before
+
+
+def test_an_8_khz_config_hashes_as_one_that_set_its_band_to_nyquist():
+    # the text an 8 kHz config hashed when its band's top edge was set by hand
+    text = "sample_rate=8000|n_fft=1024|hop_length=256|n_mels=80|fmin=0.0|fmax=4000.0"
+    assert audio.AnalysisConfig(sample_rate=8000).fingerprint() == hashlib.sha256(
+        text.encode("utf-8")).digest()
 
 
 def test_mean_mel_config_mismatch():
@@ -738,11 +767,11 @@ def test_mel_basis_is_one_read_only_pinv_per_config():
     for shared in (fb, inv):
         with pytest.raises(ValueError):
             shared[0, 0] = 1.0
-    narrower = dataclasses.replace(SMALL, fmax=6000.0)
-    other_fb, other_inv = audio._mel_basis(narrower)
+    fewer = dataclasses.replace(SMALL, n_mels=16)
+    other_fb, other_inv = audio._mel_basis(fewer)
     assert other_inv is not inv
-    assert np.array_equal(other_inv, np.linalg.pinv(audio.mel_filterbank(narrower)))
-    assert not np.array_equal(other_fb, fb)
+    assert np.array_equal(other_inv, np.linalg.pinv(audio.mel_filterbank(fewer)))
+    assert other_fb.shape == (16, fb.shape[1])
 
 
 def overlap_add_loop(frames, hop):

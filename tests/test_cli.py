@@ -305,7 +305,8 @@ def test_checkpoint_config_mismatch_rejected(corpus_dir, cfg_file, tmp_path):
     trainer = pipeline.new_trainer(cfg, build_vocab([u.text for u in utts]), utts)
     ck = tmp_path / "m.ckpt"
     pipeline.save_trainer(ck, trainer, "stats.bin")
-    other = parse_config(TINY_CFG_TEXT + "train.seed=99\nschedule.beta1=10\n")
+    other = parse_config(TINY_CFG_TEXT.replace("train.seed=3", "train.seed=99")
+                         + "schedule.beta1=10\n")
     with pytest.raises(CheckpointError) as info:
         pipeline.load_trainer(ck, other)
     message = str(info.value)
@@ -322,7 +323,7 @@ def tiny_trainer(corpus_dir, cfg_text=TINY_CFG_TEXT):
 
 @pytest.mark.parametrize("seed", [123456789, 2**31 - 1])
 def test_resume_is_exact_for_large_seeds(corpus_dir, tmp_path, seed):
-    text = TINY_CFG_TEXT + f"train.seed={seed}\n"
+    text = TINY_CFG_TEXT.replace("train.seed=3", f"train.seed={seed}")
     solo, utts = tiny_trainer(corpus_dir, text)
     solo_lines = pipeline.train_epochs(solo, utts, 2)
     split, _ = tiny_trainer(corpus_dir, text)
@@ -353,7 +354,8 @@ def test_checkpoint_with_a_removed_key_names_file_and_key(corpus_dir, tmp_path):
     pipeline.save_trainer(ck, trainer, "stats.bin")
     meta, tensors = load_checkpoint(ck)
     for key in ("audio.win_length", "model.dur_heads", "model.conv_kernel", "schedule.t_min",
-                "guidance.gamma", "guidance.steps", "guidance.temperature"):
+                "guidance.gamma", "guidance.steps", "guidance.temperature", "audio.fmin",
+                "audio.fmax", "model.ref_seconds"):
         checkpoint.save_checkpoint(ck, {**meta, "config": meta["config"] + [f"{key}=1"]}, tensors)
         with pytest.raises(CheckpointError,
                            match=rf"old\.ckpt: bad checkpoint metadata: .*unknown key '{key}'"):
@@ -361,20 +363,20 @@ def test_checkpoint_with_a_removed_key_names_file_and_key(corpus_dir, tmp_path):
 
 
 def test_checkpoint_without_a_defaulted_key_loads(corpus_dir, tmp_path, monkeypatch):
-    # stands in for a checkpoint written before model.ref_seconds existed
+    # stands in for a checkpoint written before train.learning_rate was a key
     trainer, _ = tiny_trainer(corpus_dir)
     cfg = trainer.model.cfg
-    assert cfg.model.ref_seconds == Config().model.ref_seconds
+    assert cfg.train.learning_rate == Config().train.learning_rate
     full = Config.to_lines
     monkeypatch.setattr(Config, "to_lines", lambda self: [
-        line for line in full(self) if not line.startswith("model.ref_seconds=")])
+        line for line in full(self) if not line.startswith("train.learning_rate=")])
     ck = tmp_path / "old.ckpt"
     pipeline.save_trainer(ck, trainer, "stats.bin")
     monkeypatch.undo()
     for requested in (cfg, None):
         loaded, _ = pipeline.load_trainer(ck, requested)
         assert loaded.model.cfg == cfg
-    assert "model.ref_seconds" not in str(load_checkpoint(ck)[0]["config"])
+    assert "train.learning_rate" not in str(load_checkpoint(ck)[0]["config"])
 
 
 def test_missing_adam_moment_is_named(corpus_dir, tmp_path, monkeypatch):

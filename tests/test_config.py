@@ -18,6 +18,8 @@ def test_defaults_are_paper_conventions():
     assert cfg.train.learning_rate == 1e-4
     assert cfg.train.batch_size == 64
     assert cfg.ref_frames == 172  # round(2 * 22050 / 256)
+    assert (cfg.audio.fmin, cfg.audio.fmax, cfg.model.ref_seconds) == (0.0, 8000.0, 2.0)
+    assert len(cfg.to_lines()) == 17
 
 
 def test_round_trip_through_lines():
@@ -43,12 +45,21 @@ def test_unknown_key_rejected():
 
 @pytest.mark.parametrize("key", ["model.dur_heads", "audio.win_length", "guidance.gamma",
                                  "guidance.steps", "guidance.temperature", "model.conv_kernel",
-                                 "schedule.t_min"])
+                                 "schedule.t_min", "audio.fmin", "audio.fmax",
+                                 "model.ref_seconds"])
 def test_removed_key_names_line_and_key(tmp_path, key):
     p = tmp_path / "old.cfg"
     p.write_text(f"train.seed=1\n{key}=1\n", encoding="utf-8")
     with pytest.raises(cf.ConfigError, match=f"line 2: unknown key '{re.escape(key)}'"):
         cf.load_config(p)
+
+
+@pytest.mark.parametrize("key", ["train.seed", "token_mode"])
+def test_repeated_key_names_both_lines(key):
+    value = "phonemes" if key == "token_mode" else "2"
+    with pytest.raises(cf.ConfigError,
+                       match=f"line 3: key '{re.escape(key)}' is already set on line 1"):
+        cf.parse_config(f"{key}={value}\nmodel.d_model=32\n{key}={value}\n")
 
 
 def test_readme_example_config_parses():
@@ -75,7 +86,7 @@ def test_config_equality_follows_values():
 
 
 @pytest.mark.parametrize("line", ["train.learning_rate=nan", "schedule.beta1=inf",
-                                  "model.ref_seconds=nan", "audio.fmax=-inf"])
+                                  "schedule.beta0=nan", "train.learning_rate=-inf"])
 def test_non_finite_values_rejected(line):
     key = line.split("=")[0]
     with pytest.raises(cf.ConfigError, match=f"{key}: non-finite"):
@@ -131,8 +142,9 @@ def test_config_single_byte_change_loads_or_raises_config_error(tmp_path_factory
     _load_config_bytes(tmp_path_factory.getbasetemp() / "flipped.cfg", bytes(blob))
 
 
-@pytest.mark.parametrize("line", ["audio.n_mels=0", "audio.n_mels=-3", "model.ref_seconds=0.001",
-                                  "model.ref_seconds=-2"])
+# round(2 s * 22050 / 88201) is the first hop at which the reference window is 0 frames
+@pytest.mark.parametrize("line", ["audio.n_mels=0", "audio.n_mels=-3", "audio.hop_length=88201",
+                                  "audio.hop_length=1000000"])
 def test_empty_mel_or_reference_window_names_the_key(line):
     with pytest.raises(cf.ConfigError, match=line.split("=")[0]):
         cf.parse_config(line + "\n")

@@ -3,8 +3,11 @@ short, either parses it or raises its own typed error.
 
 Each byte is set to 0x00, 0xFF and 0x80 and has its low bit flipped, and
 the file is cut at every length; anything but a parse or the reader's error
-fails the test, naming the reader and the byte position.
+fails the test, naming the reader and the byte position.  A missing path
+and a directory must raise the reader's error too, naming the path.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -78,3 +81,11 @@ def test_damaged_file_parses_or_raises_the_readers_error(reader, tmp_path):
         except Exception as exc:
             escapes.append(f"{reader}, {what}: {type(exc).__name__}({exc})")
     assert escapes == []
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_missing_path_or_directory_raises_the_readers_error_naming_it(reader, tmp_path):
+    _, read, error = READERS[reader]
+    for path in (tmp_path / "absent.file", tmp_path):
+        with pytest.raises(error, match=re.escape(str(path))):
+            read(path)
