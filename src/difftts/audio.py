@@ -136,7 +136,7 @@ def load_wav(path) -> Waveform:
     except RuntimeError as exc:  # wave's chunk reader, sent past the RIFF chunk's end
         raise AudioFormatError(f"{path}: malformed WAV (a chunk size runs past the file)") from exc
     except OSError as exc:
-        raise AudioFormatError(f"cannot read {path}: {exc}") from exc
+        raise AudioFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if rate <= 0:
         raise AudioFormatError(f"{path}: header sample rate {rate} is not positive")
     if not raw:

@@ -72,7 +72,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         with open(path, "rb") as f:
             return _read_checkpoint(f, path)
     except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+        raise CheckpointError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _read_checkpoint(f, path) -> tuple[dict, dict[str, np.ndarray]]:

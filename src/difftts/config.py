@@ -159,6 +159,7 @@ def load_config(path) -> Config:
         with open(path, encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise ConfigError(f"cannot read config file {path}: {reason}") from exc
     return parse_config(text)
 

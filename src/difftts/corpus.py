@@ -26,7 +26,8 @@ def _read_text(path, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise CorpusError(f"cannot read {what} {path}: {reason}") from exc
 
 
 def read_speaker_map(path) -> dict[str, str]:

@@ -59,22 +59,23 @@ def forward_diffuse(x0, mu, t: float, noise, schedule: NoiseSchedule):
 _BLOCKS = ("down0", "down1", "mid", "up1", "up0")
 
 
-def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator) -> None:
+def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator | None) -> None:
+    glorot, _ = nc.initializers(rng)
     c = cfg.model.dec_channels
     k = cfg.model.conv_kernel
     n_mels = cfg.audio.n_mels
     d_spk = cfg.model.d_spk
-    store.create("dec.in.w", nc.glorot(rng, k * 2 * n_mels, c))
+    store.create("dec.in.w", glorot(k * 2 * n_mels, c))
     store.create("dec.in.b", np.zeros(c))
     for name in _BLOCKS:
         b = f"dec.{name}"
         store.create(f"{b}.ln.gain", np.ones(c))
         store.create(f"{b}.ln.bias", np.zeros(c))
-        store.create(f"{b}.time.w", nc.glorot(rng, c, c))
+        store.create(f"{b}.time.w", glorot(c, c))
         store.create(f"{b}.time.b", np.zeros(c))
-        store.create(f"{b}.spk.w", nc.glorot(rng, d_spk, c))
+        store.create(f"{b}.spk.w", glorot(d_spk, c))
         store.create(f"{b}.spk.b", np.zeros(c))
-        store.create(f"{b}.conv.w", nc.glorot(rng, k * c, c))
+        store.create(f"{b}.conv.w", glorot(k * c, c))
         store.create(f"{b}.conv.b", np.zeros(c))
     # zero-init output head: the untrained net predicts zero noise
     store.create("dec.out.w", np.zeros((k * c, n_mels)))

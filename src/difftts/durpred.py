@@ -83,24 +83,25 @@ def crop_reference(pool: dict[str, MelSpectrogram], target_id: str,
 # -- parameters ---------------------------------------------------------------
 
 
-def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator) -> None:
+def init_params(store: nc.ParamStore, cfg: Config, rng: np.random.Generator | None) -> None:
+    glorot, _ = nc.initializers(rng)
     d = cfg.model.d_model
     k = cfg.model.conv_kernel
-    store.create("dur.ref.w", nc.glorot(rng, cfg.audio.n_mels, d))
+    store.create("dur.ref.w", glorot(cfg.audio.n_mels, d))
     store.create("dur.ref.b", np.zeros(d))
     # small query init keeps early attention near-uniform, so the attended
     # output starts as a stable window average instead of arbitrary frames
-    store.create("dur.query.w", 0.1 * nc.glorot(rng, d, d))
+    store.create("dur.query.w", 0.1 * glorot(d, d))
     # block0 takes [attended reference | text embeddings] side by side
-    store.create("dur.block0.conv.w", nc.glorot(rng, k * 2 * d, d))
+    store.create("dur.block0.conv.w", glorot(k * 2 * d, d))
     store.create("dur.block0.conv.b", np.zeros(d))
     store.create("dur.block0.ln.gain", np.ones(d))
     store.create("dur.block0.ln.bias", np.zeros(d))
-    store.create("dur.block1.conv.w", nc.glorot(rng, k * d, d))
+    store.create("dur.block1.conv.w", glorot(k * d, d))
     store.create("dur.block1.conv.b", np.zeros(d))
     store.create("dur.block1.ln.gain", np.ones(d))
     store.create("dur.block1.ln.bias", np.zeros(d))
-    store.create("dur.head.w", nc.glorot(rng, d, 1))
+    store.create("dur.head.w", glorot(d, 1))
     store.create("dur.head.b", np.zeros(1))
 
 

@@ -23,30 +23,31 @@ class TextEncoding:
 
 
 def init_params(store: nc.ParamStore, cfg: Config, vocab_size: int,
-                rng: np.random.Generator) -> None:
+                rng: np.random.Generator | None) -> None:
+    glorot, normal = nc.initializers(rng)
     d = cfg.model.d_model
     k = cfg.model.conv_kernel
     d_head = d // cfg.model.n_heads
-    store.create("enc.emb", nc.normal_init(rng, (vocab_size, d), std=0.1))
+    store.create("enc.emb", normal((vocab_size, d), std=0.1))
     for i in range(cfg.model.n_enc_blocks):
         b = f"enc.block{i}"
         store.create(f"{b}.ln1.gain", np.ones(d))
         store.create(f"{b}.ln1.bias", np.zeros(d))
         # head h owns columns h*d_head:(h+1)*d_head of the fused projections;
         # draws keep the per-head q, k, v order
-        draws = [[nc.glorot(rng, d, d_head) for _ in "qkv"] for _ in range(cfg.model.n_heads)]
+        draws = [[glorot(d, d_head) for _ in "qkv"] for _ in range(cfg.model.n_heads)]
         for j, name in enumerate("qkv"):
             store.create(f"{b}.attn.{name}", np.concatenate([hd[j] for hd in draws], axis=1))
-        store.create(f"{b}.attn.out", nc.glorot(rng, d, d))
+        store.create(f"{b}.attn.out", glorot(d, d))
         store.create(f"{b}.ln2.gain", np.ones(d))
         store.create(f"{b}.ln2.bias", np.zeros(d))
-        store.create(f"{b}.ff1.w", nc.glorot(rng, k * d, d))
+        store.create(f"{b}.ff1.w", glorot(k * d, d))
         store.create(f"{b}.ff1.b", np.zeros(d))
-        store.create(f"{b}.ff2.w", nc.glorot(rng, k * d, d))
+        store.create(f"{b}.ff2.w", glorot(k * d, d))
         store.create(f"{b}.ff2.b", np.zeros(d))
     store.create("enc.ln_out.gain", np.ones(d))
     store.create("enc.ln_out.bias", np.zeros(d))
-    store.create("enc.mu.w", nc.glorot(rng, d, cfg.audio.n_mels))
+    store.create("enc.mu.w", glorot(d, cfg.audio.n_mels))
     store.create("enc.mu.b", np.zeros(cfg.audio.n_mels))
 
 

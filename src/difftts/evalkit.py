@@ -181,7 +181,8 @@ def read_manifest(path) -> list[UtteranceRecord]:
         with open(path, encoding="utf-8") as f:
             header, *lines = f.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise ManifestError(f"cannot read manifest {path}: {reason}") from exc
     if tuple(header.split("\t")) != MANIFEST_COLUMNS:
         raise ManifestError("line 1: header must be " + "\t".join(MANIFEST_COLUMNS))
     for lineno, line in enumerate(lines, start=2):

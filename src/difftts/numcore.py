@@ -3,7 +3,10 @@
 A Tensor wraps a float ndarray together with the tape node that produced
 it.  Calling ``backward()`` on a scalar result walks the recorded graph in
 reverse topological order and accumulates gradients into every tensor that
-was created with ``requires_grad=True``.
+was created with ``requires_grad=True``.  The walk uses up the graph: each
+op node lets go of its gradient, inputs and saved arrays once it has passed
+its gradient on, so no tensor of a graph may be reused in a later graph;
+only leaves (parameters and inputs) carry over.
 
 Only what the synthesis stack needs is implemented: 2-D matmul, elementwise
 arithmetic with scalar/row broadcasting, a handful of nonlinearities and
@@ -27,6 +30,7 @@ reshaped or sliced on its way into a product is reported by that product.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -152,7 +156,8 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar result."""
+        """Backpropagate from a scalar result; each op node drops its gradient,
+        closure and parents once it has passed its gradient on."""
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -171,9 +176,14 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = node._backward = None
+            node._parents = ()
 
     # -- operator sugar --------------------------------------------------
     def __add__(self, other):
@@ -488,12 +498,14 @@ LN_EPS = 1e-5
 class Adam:
     """Adam with bias correction; state is exposed for checkpointing."""
 
-    def __init__(self, store: ParamStore, lr: float):
+    def __init__(self, store: ParamStore, lr: float, t: int = 0,
+                 moments: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] | None = None):
+        """Zero moments at step 0, unless given a checkpoint's step count and ``(m, v)``."""
         self.store = store
         self.lr = lr
-        self.t = 0
-        self.m = {name: np.zeros_like(p.value) for name, p in store.items()}
-        self.v = {name: np.zeros_like(p.value) for name, p in store.items()}
+        self.t = t
+        self.m, self.v = moments or ({name: np.zeros_like(p.value) for name, p in store.items()},
+                                     {name: np.zeros_like(p.value) for name, p in store.items()})
 
     def step(self) -> None:
         """One update; a non-finite gradient raises NumericError naming its
@@ -590,7 +602,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, kernel: int = 3) -> Te
     if w.shape[0] != kernel * cin:
         raise ShapeError(f"weight rows {w.shape[0]} != kernel*C_in {kernel * cin}")
     half = kernel // 2
-    padded = np.zeros(x.shape[:-2] + (t + 2 * half, cin), dtype=x.data.dtype)
+    pad_shape = x.shape[:-2] + (t + 2 * half, cin)
+    padded = np.zeros(pad_shape, dtype=x.data.dtype)
     padded[..., half:half + t, :] = x.data
     cols = np.concatenate([padded[..., k:k + t, :] for k in range(kernel)], axis=-1)
     out = cols @ w.data
@@ -602,7 +615,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, kernel: int = 3) -> Te
         if b is not None:
             b._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0).reshape(b.shape))
         dcols = g @ w.data.T
-        dpad = np.zeros_like(padded)
+        dpad = np.zeros(pad_shape, dtype=x.data.dtype)
         for k in range(kernel):
             dpad[..., k:k + t, :] += dcols[..., k * cin:(k + 1) * cin]
         x._accumulate(dpad[..., half:half + t, :])
@@ -670,6 +683,19 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 def normal_init(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> np.ndarray:
     return std * rng.standard_normal(shape)
+
+
+def initializers(rng: np.random.Generator | None):
+    """``init_params``'s draws, ``(glorot, normal_init)`` with ``rng`` bound.
+
+    With ``rng`` None they draw nothing: each returns a read-only zero-stride
+    array of the shape it would have drawn, so that ``init_params`` run
+    against a store that only records shapes allocates no parameters.
+    """
+    if rng is None:
+        return (lambda *fans: np.broadcast_to(0.0, fans),
+                lambda shape, std: np.broadcast_to(0.0, shape))
+    return functools.partial(glorot, rng), functools.partial(normal_init, rng)
 
 # -- gradient check -------------------------------------------------------
 def grad_check(f: Callable[[], Tensor], tensors: Sequence[Tensor],

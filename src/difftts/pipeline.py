@@ -26,19 +26,34 @@ from .textfront import PhonemeSequence, Vocabulary, encode_text
 _INIT, _ORDER, _STEP, _CROP, _SAMPLE = range(5)
 
 
+def _init_params(store, cfg: Config, vocab: Vocabulary, rng: np.random.Generator | None) -> None:
+    """Create the four modules' parameters in ``store``, in checkpoint order."""
+    encoder.init_params(store, cfg, len(vocab), rng)
+    durpred.init_params(store, cfg, rng)
+    speaker.init_params(store, cfg.audio.n_mels, cfg.model.d_spk, rng)
+    diffusion.init_params(store, cfg, rng)
+
+
+class _ParamShapes(dict):
+    """Stands in for a ParamStore to record each parameter's shape by name."""
+
+    def create(self, name: str, value: np.ndarray) -> None:
+        self[name] = value.shape
+
+
 class TTSModel:
     """Parameter store plus config/vocab; everything forward passes need."""
 
-    def __init__(self, cfg: Config, vocab: Vocabulary, seed: int):
+    def __init__(self, cfg: Config, vocab: Vocabulary, seed: int,
+                 store: nc.ParamStore | None = None):
+        """Parameters drawn from ``seed``, unless ``store`` already holds them."""
         self.cfg = cfg
         self.vocab = vocab
-        self.store = nc.ParamStore()
         self.schedule = cfg.schedule
-        rng = np.random.default_rng([seed, _INIT])
-        encoder.init_params(self.store, cfg, len(vocab), rng)
-        durpred.init_params(self.store, cfg, rng)
-        speaker.init_params(self.store, cfg.audio.n_mels, cfg.model.d_spk, rng)
-        diffusion.init_params(self.store, cfg, rng)
+        if store is None:
+            store = nc.ParamStore()
+            _init_params(store, cfg, vocab, np.random.default_rng([seed, _INIT]))
+        self.store = store
 
     def encode_text(self, text: str) -> PhonemeSequence:
         return encode_text(text, self.vocab, self.cfg.token_mode)
@@ -138,9 +153,11 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             step = trainer.step + 1
+            # last step's gradients go before the forward, and backward frees
+            # the graph as it runs, so a step holds one graph and no stale grads
+            model.store.zero_grads()
             loss = nc.run_checked(
                 lambda: _step_loss(model, step, batch, utterances, seqs, pools, sums))
-            model.store.zero_grads()
             loss.backward()
             trainer.opt.step()
         trainer.epoch = epoch
@@ -202,23 +219,35 @@ def load_trainer(path, cfg: Config | None = None) -> tuple[Trainer, Path]:
                  for have, want in zip(stored_cfg.to_lines(), cfg.to_lines()) if have != want]
         raise checkpoint.CheckpointError(
             f"{path}: the checkpoint was written with different settings: " + ", ".join(diffs))
-    trainer = new_trainer(cfg, vocab)
-    model, opt = trainer.model, trainer.opt
+    # the parameters and moments are the file's own arrays: the names and
+    # shapes come from running the init functions without drawing anything
+    shapes = _ParamShapes()
+    _init_params(shapes, cfg, vocab, None)
+    store = nc.ParamStore()
 
     def record(key: str, shape: tuple[int, ...]) -> np.ndarray:
         if key not in tensors:
             raise checkpoint.CheckpointError(f"{path}: missing tensor {key}")
-        if tensors[key].shape != shape:
+        value = tensors.pop(key)
+        if value.shape != shape:
             raise checkpoint.CheckpointError(
-                f"{path}: {key} has shape {tensors[key].shape}, expected {shape}")
-        return tensors[key].astype(model.store.dtype, copy=False)
+                f"{path}: {key} has shape {value.shape}, expected {shape}")
+        return value.astype(store.dtype, copy=False)
 
-    for name, p in model.store.items():
-        p.tensor.data = record(f"param.{name}", p.value.shape)
-        opt.m[name] = record(f"adam.m.{name}", p.value.shape)
-        opt.v[name] = record(f"adam.v.{name}", p.value.shape)
-    opt.t, trainer.epoch = step, epoch
-    return trainer, Path(path).parent / stats_path
+    m, v = {}, {}
+    for name, shape in shapes.items():
+        try:
+            store.create(name, record(f"param.{name}", shape))
+        except nc.NumericError as exc:
+            raise checkpoint.CheckpointError(f"{path}: param.{name}: {exc}") from exc
+        m[name] = record(f"adam.m.{name}", shape)
+        v[name] = record(f"adam.v.{name}", shape)
+    if tensors:
+        raise checkpoint.CheckpointError(
+            f"{path}: unexpected tensor {next(iter(tensors))}; the model has no such record")
+    model = TTSModel(cfg, vocab, cfg.train.seed, store)
+    opt = nc.Adam(store, cfg.train.learning_rate, t=step, moments=(m, v))
+    return Trainer(model, opt, epoch), Path(path).parent / stats_path
 
 
 # -- synthesis -------------------------------------------------------------------

@@ -33,8 +33,9 @@ class SpeakerEmbedding:
 
 
 def init_params(store: nc.ParamStore, n_mels: int, d_spk: int,
-                rng: np.random.Generator) -> None:
-    store.create("spk.w", nc.glorot(rng, 2 * n_mels, d_spk))
+                rng: np.random.Generator | None) -> None:
+    glorot, _ = nc.initializers(rng)
+    store.create("spk.w", glorot(2 * n_mels, d_spk))
     store.create("spk.b", np.zeros(d_spk))
 
 

@@ -391,6 +391,47 @@ def test_missing_adam_moment_is_named(corpus_dir, tmp_path, monkeypatch):
         pipeline.load_trainer(ck)
 
 
+@pytest.mark.parametrize("extra", ["param.bogus", "adam.m.junk"])
+def test_a_record_the_model_lacks_is_named(corpus_dir, tmp_path, monkeypatch, extra):
+    trainer, _ = tiny_trainer(corpus_dir)
+    real = checkpoint.save_checkpoint
+    monkeypatch.setattr(checkpoint, "save_checkpoint", lambda path, meta, tensors: real(
+        path, meta, {**tensors, extra: np.zeros(2), "param.later": np.zeros(1)}))
+    ck = tmp_path / "m.ckpt"
+    pipeline.save_trainer(ck, trainer, "stats.bin")
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(ck))}: unexpected tensor {extra};"):
+        pipeline.load_trainer(ck)
+
+
+def test_load_trainer_draws_nothing(corpus_dir, tmp_path, monkeypatch):
+    trainer, _ = tiny_trainer(corpus_dir)
+    ck = tmp_path / "m.ckpt"
+    pipeline.save_trainer(ck, trainer, "stats.bin")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_trainer drew an initial value")
+
+    monkeypatch.setattr(pipeline.nc, "glorot", refuse)
+    monkeypatch.setattr(pipeline.nc, "normal_init", refuse)
+    loaded, _ = pipeline.load_trainer(ck)
+    assert [name for name, _ in loaded.model.store.items()] == \
+        [name for name, _ in trainer.model.store.items()]
+    for name, p in trainer.model.store.items():
+        assert loaded.model.store[name].value.tobytes() == p.value.tobytes(), name
+        assert loaded.opt.m[name].tobytes() == trainer.opt.m[name].tobytes(), name
+
+
+def test_load_trainer_refuses_a_non_finite_parameter_naming_it(corpus_dir, tmp_path):
+    trainer, _ = tiny_trainer(corpus_dir)
+    trainer.model.store["dec.mid.conv.b"].tensor.data[1] = np.inf
+    ck = tmp_path / "m.ckpt"
+    pipeline.save_trainer(ck, trainer, "stats.bin")
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(ck))}: param.dec.mid.conv.b: non-finite"):
+        pipeline.load_trainer(ck)
+
+
 def test_wrong_record_shape_is_named(corpus_dir, tmp_path):
     trainer, _ = tiny_trainer(corpus_dir)
     trainer.opt.m["dur.head.b"] = np.zeros(3)

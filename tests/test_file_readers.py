@@ -89,3 +89,12 @@ def test_missing_path_or_directory_raises_the_readers_error_naming_it(reader, tm
     for path in (tmp_path / "absent.file", tmp_path):
         with pytest.raises(error, match=re.escape(str(path))):
             read(path)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_path_that_cannot_be_read_is_named_once(reader, tmp_path):
+    _, read, error = READERS[reader]
+    for path in (tmp_path / "absent.file", tmp_path):
+        with pytest.raises(error) as caught:
+            read(path)
+        assert str(caught.value).count(str(path)) == 1, str(caught.value)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,36 @@ def test_no_grad_blocks_tape():
     with nc.no_grad():
         y = nc.tanh(x).sum()
     assert y._backward is None and not y.requires_grad
+
+
+def test_backward_frees_the_graph_as_it_walks():
+    x = t(np.arange(6.0).reshape(2, 3) / 6.0)
+    w = t(np.full((3, 4), 0.5))
+    h = nc.tanh(x @ w)
+    activation = weakref.ref(h.data)
+    loss = (h * 2.0).sum()
+    del h
+    loss.backward()
+    assert activation() is None
+    assert loss.grad is None and loss._parents == () and loss._backward is None
+    # leaves keep their gradients
+    dz = 2.0 * (1.0 - np.tanh(x.data @ w.data) ** 2)
+    np.testing.assert_allclose(x.grad, dz @ w.data.T, rtol=1e-12)
+    np.testing.assert_allclose(w.grad, x.data.T @ dz, rtol=1e-12)
+
+
+def test_backward_through_a_subgraph_used_twice():
+    x = t([[0.3, -1.2], [0.8, 0.1]])
+    w = t([[0.5, -0.4], [1.5, 0.2]])
+    h = nc.tanh(x @ w)
+    loss = (h * h).sum() + (h * 3.0).sum()
+    loss.backward()
+    th = np.tanh(x.data @ w.data)
+    dz = (2.0 * th + 3.0) * (1.0 - th * th)
+    np.testing.assert_allclose(x.grad, dz @ w.data.T, rtol=1e-12)
+    np.testing.assert_allclose(w.grad, x.data.T @ dz, rtol=1e-12)
+    # released only after all three of its uses passed their gradients on
+    assert h.grad is None and h._parents == () and h._backward is None
 
 
 def test_adam_moves_parameters_toward_minimum():
