@@ -9,7 +9,7 @@ from pathlib import Path
 from . import evalkit, pipeline
 from .audio import (AudioFormatError, ConfigMismatchError, TooShortError, load_mel_stats,
                     load_wav, mean_mel, save_mel_stats, write_wav)
-from .config import Config, load_config
+from .config import Config, ConfigError, load_config
 from .corpus import load_corpus
 from .diffusion import GuidanceConfig
 from .textfront import build_vocab
@@ -65,6 +65,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # the sampler flags are checked before any file is read, each by its name
+    if args.seed < 0:
+        raise ValueError(f"--seed: seed must be non-negative, got {args.seed}")
+    for flag, setting in (("--gamma", {"gamma": args.gamma}), ("--steps", {"steps": args.steps})):
+        try:
+            GuidanceConfig(**setting)
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from exc
     trainer, stored_stats = pipeline.load_trainer(args.checkpoint)
     stats_path = Path(args.stats) if args.stats else stored_stats
     stats = load_mel_stats(stats_path)

@@ -1,9 +1,13 @@
 """Minimal differentiable numeric core: reverse-mode autodiff over numpy arrays.
 
-A Tensor wraps a float ndarray together with the tape node that produced
-it.  Calling ``backward()`` on a scalar result walks the recorded graph in
-reverse topological order and accumulates gradients into every tensor that
-was created with ``requires_grad=True``.  The walk uses up the graph: each
+A Tensor wraps a float ndarray together with its tape entry: one
+``(input, gradient function)`` pair per op input that requires a gradient,
+where the function maps the output's gradient to that input's.  Calling
+``backward()`` on a scalar result walks the recorded graph in reverse
+topological order and accumulates gradients into every tensor that was
+created with ``requires_grad=True``.  Constants (tensors that do not require
+a gradient) are left off the tape, so they get no gradient and cost no
+gradient work; ``grad_check`` refuses them.  The walk uses up the graph: each
 op node lets go of its gradient, inputs and saved arrays once it has passed
 its gradient on, so no tensor of a graph may be reused in a later graph;
 only leaves (parameters and inputs) carry over.
@@ -120,7 +124,7 @@ def run_checked(forward: Callable[[], object]):
 class Tensor:
     """Float array plus autodiff bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_inputs")
 
     def __init__(self, data, requires_grad: bool = False):
         # a leaf wraps outside data (lists, numbers, integer arrays), cast to
@@ -134,8 +138,8 @@ class Tensor:
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        # (input, vjp) pairs: vjp maps this tensor's gradient to the input's
+        self._inputs: tuple[tuple[Tensor, Callable[[np.ndarray], np.ndarray]], ...] = ()
 
     # -- introspection -------------------------------------------------
     @property
@@ -156,8 +160,8 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar result; each op node drops its gradient,
-        closure and parents once it has passed its gradient on."""
+        """Backpropagate from a scalar result; each op node drops its gradient
+        and inputs once it has passed its gradient on."""
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -172,18 +176,19 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p, _ in node._inputs:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            if node._backward is None:  # a leaf keeps its gradient
+            if not node._inputs:  # a leaf keeps its gradient
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
-            node.grad = node._backward = None
-            node._parents = ()
+                for p, vjp in node._inputs:
+                    p._accumulate(vjp(node.grad))
+            node.grad = None
+            node._inputs = ()
 
     # -- operator sugar --------------------------------------------------
     def __add__(self, other):
@@ -230,20 +235,19 @@ def _wrap(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
-    """An op's output, checked only in a replay; ``backward``'s enclosing function names the op."""
+def _node(op: str, data: np.ndarray,
+          *inputs: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The output of ``op`` over ``(input, vjp)`` pairs, checked only in a
+    replay; it keeps the pairs whose input requires a gradient."""
     if not isinstance(data, np.ndarray):  # numpy returns scalars for 0-d operands
         data = np.asarray(data)
-    if _check_ops:
-        op = backward.__qualname__.split(".")[0]
-        if op not in _MOVES:
-            _check_op(op, "output", data, parents)
+    if _check_ops and op not in _MOVES:
+        _check_op(op, "output", data, [p for p, _ in inputs])
     out = Tensor.__new__(Tensor)
     out._init(data, False)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _grad_enabled:
+        out._inputs = tuple(pair for pair in inputs if pair[0].requires_grad)
+        out.requires_grad = bool(out._inputs)
     return out
 
 
@@ -258,6 +262,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _scatter(like: np.ndarray, index, g: np.ndarray, repeats: bool = False) -> np.ndarray:
+    """Zeros shaped like ``like`` with ``g`` placed at ``index``; summed where
+    an index ``repeats``."""
+    full = np.zeros_like(like)
+    if repeats:
+        np.add.at(full, index, g)
+    else:
+        full[index] = g
+    return full
+
+
 # -- primitive ops -----------------------------------------------------
 
 
@@ -267,12 +282,8 @@ def add(a: Tensor, b) -> Tensor:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}") from exc
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
-
-    return _node(data, (a, b), backward)
+    return _node("add", data, (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -281,12 +292,8 @@ def mul(a: Tensor, b) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}") from exc
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _node(data, (a, b), backward)
+    return _node("mul", data, (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -294,82 +301,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul expects 2-D tensors")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
-
-    return _node(data, (a, b), backward)
+    return _node("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T),
+                 (b, lambda g: a.data.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError("transpose expects a 2-D tensor")
-
-    def backward(g):
-        a._accumulate(g.T)
-
-    return _node(a.data.T.copy(), (a,), backward)
+    return _node("transpose", a.data.T.copy(), (a, lambda g: g.T))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        a._accumulate(g.reshape(a.shape))
-
-    return _node(data, (a,), backward)
+    return _node("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
 
 
 def exp(a: Tensor) -> Tensor:
     _check_op("exp", "input", a.data, (a,))  # exp(-inf) is 0
     data = np.exp(a.data)
     _check_op("exp", "output", data, (a,))
-
-    def backward(g):
-        a._accumulate(g * data)
-
-    return _node(data, (a,), backward)
+    return _node("exp", data, (a, lambda g: g * data))
 
 
 def tanh(a: Tensor) -> Tensor:
     _check_op("tanh", "input", a.data, (a,))  # tanh(+-inf) is +-1
     data = np.tanh(a.data)
-
-    def backward(g):
-        a._accumulate(g * (1.0 - data * data))
-
-    return _node(data, (a,), backward)
+    return _node("tanh", data, (a, lambda g: g * (1.0 - data * data)))
 
 
 def relu(a: Tensor) -> Tensor:
     _check_op("relu", "input", a.data, (a,))  # relu(-inf) is 0
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        a._accumulate(g * (a.data > 0.0))
-
-    return _node(data, (a,), backward)
+    return _node("relu", np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def tsum(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum(), dtype=a.data.dtype)
-
-    def backward(g):
-        a._accumulate(np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False))
-
-    return _node(data, (a,), backward)
+    return _node("tsum", data,
+                 (a, lambda g: np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False)))
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
     data = np.asarray(a.data.mean(), dtype=a.data.dtype)
-
-    def backward(g):
-        a._accumulate(np.broadcast_to(g / n, a.shape).astype(a.data.dtype, copy=False))
-
-    return _node(data, (a,), backward)
+    return _node("tmean", data,
+                 (a, lambda g: np.broadcast_to(g / n, a.shape).astype(a.data.dtype, copy=False)))
 
 
 def _rows_operand(a: Tensor, op: str) -> None:
@@ -383,37 +357,20 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cannot column-concat shapes {a.shape} and {b.shape}")
     na = a.shape[1]
     data = np.concatenate([a.data, b.data], axis=1)
-
-    def backward(g):
-        a._accumulate(g[:, :na])
-        b._accumulate(g[:, na:])
-
-    return _node(data, (a, b), backward)
+    return _node("concat_cols", data, (a, lambda g: g[:, :na]), (b, lambda g: g[:, na:]))
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     _rows_operand(a, "slice_rows")
-    data = a.data[..., start:stop, :].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop, :] = g
-        a._accumulate(full)
-
-    return _node(data, (a,), backward)
+    rows = (Ellipsis, slice(start, stop), slice(None))
+    return _node("slice_rows", a.data[rows].copy(), (a, lambda g: _scatter(a.data, rows, g)))
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError("slice_cols expects a 2-D tensor")
-    data = a.data[:, start:stop].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        a._accumulate(full)
-
-    return _node(data, (a,), backward)
+    cols = (slice(None), slice(start, stop))
+    return _node("slice_cols", a.data[cols].copy(), (a, lambda g: _scatter(a.data, cols, g)))
 
 
 def repeat_rows(a: Tensor, counts: np.ndarray) -> Tensor:
@@ -424,16 +381,9 @@ def repeat_rows(a: Tensor, counts: np.ndarray) -> Tensor:
         raise ShapeError("one count per row required")
     if np.any(counts < 0) or counts.sum() == 0:
         raise ShapeError("counts must be nonnegative with positive total")
-    index = np.repeat(np.arange(a.shape[-2]), counts)
-    rows = (Ellipsis, index, slice(None))
-    data = a.data[rows]
-
-    def backward(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, rows, g)
-        a._accumulate(acc)
-
-    return _node(data, (a,), backward)
+    rows = (Ellipsis, np.repeat(np.arange(a.shape[-2]), counts), slice(None))
+    return _node("repeat_rows", a.data[rows],
+                 (a, lambda g: _scatter(a.data, rows, g, repeats=True)))
 
 
 def avg_pool_rows(a: Tensor) -> Tensor:
@@ -443,7 +393,7 @@ def avg_pool_rows(a: Tensor) -> Tensor:
     padded = a.data if t % 2 == 0 else np.concatenate([a.data, a.data[..., -1:, :]], axis=-2)
     data = 0.5 * (padded[..., 0::2, :] + padded[..., 1::2, :])
 
-    def backward(g):
+    def vjp(g):
         acc = np.zeros_like(a.data)
         acc[..., 0::2, :] += 0.5 * g
         if t % 2 == 0:
@@ -451,9 +401,9 @@ def avg_pool_rows(a: Tensor) -> Tensor:
         else:
             acc[..., 1::2, :] += 0.5 * g[..., : t // 2, :]
             acc[..., -1, :] += 0.5 * g[..., -1, :]
-        a._accumulate(acc)
+        return acc
 
-    return _node(data, (a,), backward)
+    return _node("avg_pool_rows", data, (a, vjp))
 
 # -- parameters and the optimizer ----------------------------------------
 class Parameter:
@@ -548,12 +498,8 @@ def softmax_rows(x: Tensor) -> Tensor:
     _check_op("softmax_rows", "input", x.data, (x,))  # a -inf entry gets weight 0
     e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
     out = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        x._accumulate((g - dot) * out)
-
-    return _node(out.astype(x.data.dtype, copy=False), (x,), backward)
+    return _node("softmax_rows", out.astype(x.data.dtype, copy=False),
+                 (x, lambda g: (g - (g * out).sum(axis=1, keepdims=True)) * out))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -576,15 +522,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out += bias.data
     lead = tuple(range(x.data.ndim - 1))
 
-    def backward(g):
+    def dx(g):
         dxhat = g * gain.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        x._accumulate(dx.astype(x.data.dtype, copy=False))
-        gain._accumulate((g * xhat).sum(axis=lead).reshape(gain.shape))
-        bias._accumulate(g.sum(axis=lead).reshape(bias.shape))
+        return (inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                       - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+                ).astype(x.data.dtype, copy=False)
 
-    return _node(out.astype(x.data.dtype, copy=False), (x, gain, bias), backward)
+    return _node("layer_norm", out.astype(x.data.dtype, copy=False), (x, dx),
+                 (gain, lambda g: (g * xhat).sum(axis=lead).reshape(gain.shape)),
+                 (bias, lambda g: g.sum(axis=lead).reshape(bias.shape)))
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, kernel: int = 3) -> Tensor:
@@ -610,18 +556,18 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, kernel: int = 3) -> Te
     if b is not None:
         out += b.data
 
-    def backward(g):
-        w._accumulate(cols.reshape(-1, kernel * cin).T @ g.reshape(-1, g.shape[-1]))
-        if b is not None:
-            b._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0).reshape(b.shape))
+    def dx(g):
         dcols = g @ w.data.T
         dpad = np.zeros(pad_shape, dtype=x.data.dtype)
         for k in range(kernel):
             dpad[..., k:k + t, :] += dcols[..., k * cin:(k + 1) * cin]
-        x._accumulate(dpad[..., half:half + t, :])
+        return dpad[..., half:half + t, :]
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(out, parents, backward)
+    inputs = [(x, dx),
+              (w, lambda g: cols.reshape(-1, kernel * cin).T @ g.reshape(-1, g.shape[-1]))]
+    if b is not None:
+        inputs.append((b, lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0).reshape(b.shape)))
+    return _node("conv1d", out, *inputs)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -631,14 +577,8 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError("embedding expects a 1-D id array")
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
         raise ShapeError("token id outside table range")
-    data = table.data[ids]
-
-    def backward(g):
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, ids, g)
-        table._accumulate(acc)
-
-    return _node(data, (table,), backward)
+    return _node("embedding", table.data[ids],
+                 (table, lambda g: _scatter(table.data, ids, g, repeats=True)))
 
 
 def l2_normalize(x: Tensor) -> Tensor:
@@ -649,11 +589,8 @@ def l2_normalize(x: Tensor) -> Tensor:
     if norm == 0.0:
         raise ShapeError("cannot normalize a zero vector")
     y = x.data / norm
-
-    def backward(g):
-        x._accumulate((g - y * (y * g).sum()) / norm)
-
-    return _node(y.astype(x.data.dtype, copy=False), (x,), backward)
+    return _node("l2_normalize", y.astype(x.data.dtype, copy=False),
+                 (x, lambda g: (g - y * (y * g).sum()) / norm))
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -703,11 +640,15 @@ def grad_check(f: Callable[[], Tensor], tensors: Sequence[Tensor],
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` re-evaluates a scalar-valued forward pass that reads ``tensors``
-    (params and/or inputs); each tensor is perturbed entry by entry.  The
-    relative error is |analytic - fd| / max(1, |analytic|).
+    (params and/or inputs), each of which must require a gradient; each
+    tensor is perturbed entry by entry.  The relative error is
+    |analytic - fd| / max(1, |analytic|).
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
+    for i, t in enumerate(tensors):
+        if not t.requires_grad:
+            raise ValueError(f"grad_check tensor {i} does not require a gradient")
     for t in tensors:
         t.zero_grad()
     out = f()

@@ -20,7 +20,7 @@ from .audio import (LOG_CEILING, LOG_FLOOR, ConfigMismatchError, MelSpectrogram,
 from .config import Config, parse_config
 from .corpus import Utterance, speaker_pools
 from .durpred import DurationVector
-from .textfront import PhonemeSequence, Vocabulary, encode_text
+from .textfront import PhonemeSequence, Vocabulary, VocabularyError, encode_text
 
 # rng stream tags
 _INIT, _ORDER, _STEP, _CROP, _SAMPLE = range(5)
@@ -135,12 +135,17 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
     pools = speaker_pools(utterances)
     model = trainer.model
     cfg = model.cfg
-    seqs = [model.encode_text(u.text) for u in utterances]
-    for utt, seq in zip(utterances, seqs):
+    seqs = []
+    for utt in utterances:
+        try:  # an unknown symbol would train as unk, whose embedding nothing else trains
+            seq = encode_text(utt.text, model.vocab, cfg.token_mode, strict=True)
+        except VocabularyError as exc:
+            raise VocabularyError(f"utterance {utt.utterance_id}: {exc}") from exc
         if len(seq) > utt.mel.frames:
             raise aligner.InfeasibleError(
                 f"utterance {utt.utterance_id}: {len(seq)} tokens over {utt.mel.frames} frames; "
                 "alignment needs at least one frame per token")
+        seqs.append(seq)
     lines = log_lines if log_lines is not None else []
     n = len(utterances)
     batch_size = min(cfg.train.batch_size, n)

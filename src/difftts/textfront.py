@@ -79,11 +79,16 @@ def build_vocab(transcripts: Iterable[str], mode: str = "characters") -> Vocabul
     return Vocabulary(sorted(symbols))
 
 
-def encode_text(text: str, vocab: Vocabulary, mode: str = "characters") -> PhonemeSequence:
+def encode_text(text: str, vocab: Vocabulary, mode: str = "characters",
+                strict: bool = False) -> PhonemeSequence:
+    """Token ids; a symbol outside ``vocab`` is unk, or refused when ``strict``."""
     normalized = _normalize(text)
     if not normalized:
         raise EmptyTextError("text is empty after normalization")
     tokens = _split(normalized, mode)
     ids = np.array([vocab.id_of(t) for t in tokens], dtype=np.int64)
+    if strict and UNK_ID in ids:
+        raise VocabularyError(f"symbol {tokens[int(np.argmax(ids == UNK_ID))]!r} "
+                              "is not in the model's vocabulary")
     return PhonemeSequence(ids)
 

@@ -14,7 +14,7 @@ from difftts.checkpoint import CheckpointError, load_checkpoint
 from difftts.config import Config, parse_config
 from difftts.corpus import CorpusError, load_corpus, read_speaker_map
 from difftts.diffusion import GuidanceConfig
-from difftts.textfront import build_vocab, encode_text
+from difftts.textfront import VocabularyError, build_vocab, encode_text
 
 TINY_CFG_TEXT = """
 audio.hop_length=512
@@ -464,6 +464,16 @@ def test_train_epochs_names_an_utterance_with_more_tokens_than_frames(corpus_dir
     assert trainer.step == 0
 
 
+def test_train_epochs_names_an_utterance_with_a_symbol_outside_the_vocabulary(corpus_dir):
+    trainer, utts = tiny_trainer(corpus_dir)
+    assert "x" not in trainer.model.vocab.symbols
+    utts[1].text += " x"
+    with pytest.raises(VocabularyError,
+                       match=rf"^utterance {utts[1].utterance_id}: symbol 'x' is not in the "):
+        pipeline.train_epochs(trainer, utts, 1)
+    assert trainer.step == 0 and trainer.epoch == 0
+
+
 def test_train_epochs_checkpoints_once_after_its_last_epoch(corpus_dir, tmp_path, monkeypatch):
     trainer, utts = tiny_trainer(
         corpus_dir, TINY_CFG_TEXT.replace("checkpoint_every=50", "checkpoint_every=1"))
@@ -590,6 +600,17 @@ def test_synth_refuses_a_bad_seed_or_gamma_by_name(trained, corpus_dir, tmp_path
                    "--stats", trained["stats"], flag, value) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--gamma", "nan"),
+                                        ("--gamma", "-1"), ("--steps", "0")])
+def test_synth_names_a_bad_flag_before_reading_any_file(tmp_path, capsys, flag, value):
+    missing = tmp_path / "never-written"
+    assert run_cli("synth", "--checkpoint", missing / "m.ckpt", "--text", "ab",
+                   "--ref", missing / "r.wav", "--out", tmp_path / "o.wav",
+                   "--stats", missing / "s.bin", flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and "cannot read" not in err
 
 
 @pytest.mark.parametrize("n_samples, rate, fault", AUDIO_FAULTS)

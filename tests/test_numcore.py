@@ -156,6 +156,17 @@ def test_grad_check_epsilon_range():
         nc.grad_check(lambda: a.sum(), [a], epsilon=1e-2)
 
 
+def test_grad_check_refuses_a_constant_by_position_before_evaluating():
+    x = t([[0.3, -0.7]])
+    c = t([[2.0, 0.5]], grad=False)
+
+    def f():
+        raise AssertionError("f was evaluated")
+
+    with pytest.raises(ValueError, match=r"^grad_check tensor 1 does not require a gradient$"):
+        nc.grad_check(f, [x, c])
+
+
 # -- structural ops ---------------------------------------------------------
 
 def test_repeat_rows_forward_and_grad():
@@ -336,7 +347,7 @@ def test_no_grad_blocks_tape():
     x = t(np.ones((2, 2)))
     with nc.no_grad():
         y = nc.tanh(x).sum()
-    assert y._backward is None and not y.requires_grad
+    assert y._inputs == () and not y.requires_grad
 
 
 def test_backward_frees_the_graph_as_it_walks():
@@ -348,11 +359,40 @@ def test_backward_frees_the_graph_as_it_walks():
     del h
     loss.backward()
     assert activation() is None
-    assert loss.grad is None and loss._parents == () and loss._backward is None
+    assert loss.grad is None and loss._inputs == ()
     # leaves keep their gradients
     dz = 2.0 * (1.0 - np.tanh(x.data @ w.data) ** 2)
     np.testing.assert_allclose(x.grad, dz @ w.data.T, rtol=1e-12)
     np.testing.assert_allclose(w.grad, x.data.T @ dz, rtol=1e-12)
+
+
+def test_constants_get_no_gradient(monkeypatch):
+    wrapped = []
+
+    def recording_wrap(x, like, real=nc._wrap):
+        wrapped.append(real(x, like))
+        return wrapped[-1]
+
+    monkeypatch.setattr(nc, "_wrap", recording_wrap)
+    x = t([[0.3, -1.2], [0.8, 0.1]])
+    c = t([[1.5, -0.5], [2.0, 0.25]], grad=False)
+    ((x * c).tanh() * 0.5).sum().backward()
+    scalar = wrapped[-1]
+    assert scalar.data == 0.5 and not scalar.requires_grad
+    assert c.grad is None and scalar.grad is None
+    np.testing.assert_allclose(x.grad, 0.5 * c.data * (1.0 - np.tanh(x.data * c.data) ** 2),
+                               rtol=1e-12)
+
+
+def test_mul_records_only_the_operand_that_needs_a_gradient():
+    c = t([[1.5, -0.5, 3.0], [2.0, 0.25, -1.0]], grad=False)
+    p = t([[0.4, -2.0, 0.7]])
+    y = nc.mul(c, p)
+    assert [inp for inp, _ in y._inputs] == [p]
+    y.sum().backward()
+    # d/dp sum(c * p), with p broadcast over c's rows, is c's column sums
+    np.testing.assert_array_equal(p.grad, c.data.sum(axis=0, keepdims=True))
+    assert c.grad is None
 
 
 def test_backward_through_a_subgraph_used_twice():
@@ -366,7 +406,7 @@ def test_backward_through_a_subgraph_used_twice():
     np.testing.assert_allclose(x.grad, dz @ w.data.T, rtol=1e-12)
     np.testing.assert_allclose(w.grad, x.data.T @ dz, rtol=1e-12)
     # released only after all three of its uses passed their gradients on
-    assert h.grad is None and h._parents == () and h._backward is None
+    assert h.grad is None and h._inputs == ()
 
 
 def test_adam_moves_parameters_toward_minimum():
