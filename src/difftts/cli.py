@@ -74,6 +74,9 @@ def cmd_synth(args) -> int:
         except ConfigError as exc:
             raise ConfigError(f"{flag}: {exc}") from exc
     trainer, stored_stats = pipeline.load_trainer(args.checkpoint)
+    # the text is checked against the checkpoint's vocabulary before the
+    # stats or the reference is read
+    trainer.model.encode_text(args.text)
     stats_path = Path(args.stats) if args.stats else stored_stats
     stats = load_mel_stats(stats_path)
     reference = load_wav(args.ref)

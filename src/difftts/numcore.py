@@ -235,18 +235,23 @@ def _wrap(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
-def _node(op: str, data: np.ndarray,
-          *inputs: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
-    """The output of ``op`` over ``(input, vjp)`` pairs, checked only in a
-    replay; it keeps the pairs whose input requires a gradient."""
+def _node(op: str, data: np.ndarray, inputs: tuple[Tensor, ...],
+          vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] | bool) -> Tensor:
+    """The output of ``op`` over ``inputs``, checked only in a replay.
+
+    ``vjps`` holds one gradient function per input.  Ops pass
+    ``_grad_enabled and (...)``, so under ``no_grad`` it is False and no
+    function is built; the output keeps the ``(input, vjp)`` pairs whose
+    input requires a gradient.
+    """
     if not isinstance(data, np.ndarray):  # numpy returns scalars for 0-d operands
         data = np.asarray(data)
     if _check_ops and op not in _MOVES:
-        _check_op(op, "output", data, [p for p, _ in inputs])
+        _check_op(op, "output", data, inputs)
     out = Tensor.__new__(Tensor)
     out._init(data, False)
-    if _grad_enabled:
-        out._inputs = tuple(pair for pair in inputs if pair[0].requires_grad)
+    if vjps:
+        out._inputs = tuple(pair for pair in zip(inputs, vjps) if pair[0].requires_grad)
         out.requires_grad = bool(out._inputs)
     return out
 
@@ -282,8 +287,8 @@ def add(a: Tensor, b) -> Tensor:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}") from exc
-    return _node("add", data, (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(g, b.shape)))
+    return _node("add", data, (a, b), _grad_enabled and (lambda g: _unbroadcast(g, a.shape),
+                                                         lambda g: _unbroadcast(g, b.shape)))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -292,8 +297,9 @@ def mul(a: Tensor, b) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}") from exc
-    return _node("mul", data, (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
+    return _node("mul", data, (a, b),
+                 _grad_enabled and (lambda g: _unbroadcast(g * b.data, a.shape),
+                                    lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -301,49 +307,51 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul expects 2-D tensors")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    return _node("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T),
-                 (b, lambda g: a.data.T @ g))
+    return _node("matmul", a.data @ b.data, (a, b),
+                 _grad_enabled and (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError("transpose expects a 2-D tensor")
-    return _node("transpose", a.data.T.copy(), (a, lambda g: g.T))
+    return _node("transpose", a.data.T.copy(), (a,), _grad_enabled and (lambda g: g.T,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    return _node("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
+    return _node("reshape", a.data.reshape(shape), (a,),
+                 _grad_enabled and (lambda g: g.reshape(a.shape),))
 
 
 def exp(a: Tensor) -> Tensor:
     _check_op("exp", "input", a.data, (a,))  # exp(-inf) is 0
     data = np.exp(a.data)
     _check_op("exp", "output", data, (a,))
-    return _node("exp", data, (a, lambda g: g * data))
+    return _node("exp", data, (a,), _grad_enabled and (lambda g: g * data,))
 
 
 def tanh(a: Tensor) -> Tensor:
     _check_op("tanh", "input", a.data, (a,))  # tanh(+-inf) is +-1
     data = np.tanh(a.data)
-    return _node("tanh", data, (a, lambda g: g * (1.0 - data * data)))
+    return _node("tanh", data, (a,), _grad_enabled and (lambda g: g * (1.0 - data * data),))
 
 
 def relu(a: Tensor) -> Tensor:
     _check_op("relu", "input", a.data, (a,))  # relu(-inf) is 0
-    return _node("relu", np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
+    return _node("relu", np.maximum(a.data, 0.0), (a,),
+                 _grad_enabled and (lambda g: g * (a.data > 0.0),))
 
 
 def tsum(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum(), dtype=a.data.dtype)
-    return _node("tsum", data,
-                 (a, lambda g: np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False)))
+    return _node("tsum", data, (a,), _grad_enabled and (
+        lambda g: np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),))
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
     data = np.asarray(a.data.mean(), dtype=a.data.dtype)
-    return _node("tmean", data,
-                 (a, lambda g: np.broadcast_to(g / n, a.shape).astype(a.data.dtype, copy=False)))
+    return _node("tmean", data, (a,), _grad_enabled and (
+        lambda g: np.broadcast_to(g / n, a.shape).astype(a.data.dtype, copy=False),))
 
 
 def _rows_operand(a: Tensor, op: str) -> None:
@@ -357,20 +365,23 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cannot column-concat shapes {a.shape} and {b.shape}")
     na = a.shape[1]
     data = np.concatenate([a.data, b.data], axis=1)
-    return _node("concat_cols", data, (a, lambda g: g[:, :na]), (b, lambda g: g[:, na:]))
+    return _node("concat_cols", data, (a, b),
+                 _grad_enabled and (lambda g: g[:, :na], lambda g: g[:, na:]))
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     _rows_operand(a, "slice_rows")
     rows = (Ellipsis, slice(start, stop), slice(None))
-    return _node("slice_rows", a.data[rows].copy(), (a, lambda g: _scatter(a.data, rows, g)))
+    return _node("slice_rows", a.data[rows].copy(), (a,),
+                 _grad_enabled and (lambda g: _scatter(a.data, rows, g),))
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError("slice_cols expects a 2-D tensor")
     cols = (slice(None), slice(start, stop))
-    return _node("slice_cols", a.data[cols].copy(), (a, lambda g: _scatter(a.data, cols, g)))
+    return _node("slice_cols", a.data[cols].copy(), (a,),
+                 _grad_enabled and (lambda g: _scatter(a.data, cols, g),))
 
 
 def repeat_rows(a: Tensor, counts: np.ndarray) -> Tensor:
@@ -382,8 +393,8 @@ def repeat_rows(a: Tensor, counts: np.ndarray) -> Tensor:
     if np.any(counts < 0) or counts.sum() == 0:
         raise ShapeError("counts must be nonnegative with positive total")
     rows = (Ellipsis, np.repeat(np.arange(a.shape[-2]), counts), slice(None))
-    return _node("repeat_rows", a.data[rows],
-                 (a, lambda g: _scatter(a.data, rows, g, repeats=True)))
+    return _node("repeat_rows", a.data[rows], (a,),
+                 _grad_enabled and (lambda g: _scatter(a.data, rows, g, repeats=True),))
 
 
 def avg_pool_rows(a: Tensor) -> Tensor:
@@ -392,18 +403,22 @@ def avg_pool_rows(a: Tensor) -> Tensor:
     t = a.shape[-2]
     padded = a.data if t % 2 == 0 else np.concatenate([a.data, a.data[..., -1:, :]], axis=-2)
     data = 0.5 * (padded[..., 0::2, :] + padded[..., 1::2, :])
+    return _node("avg_pool_rows", data, (a,),
+                 _grad_enabled and (lambda g: _unpool_rows(g, a.data),))
 
-    def vjp(g):
-        acc = np.zeros_like(a.data)
-        acc[..., 0::2, :] += 0.5 * g
-        if t % 2 == 0:
-            acc[..., 1::2, :] += 0.5 * g
-        else:
-            acc[..., 1::2, :] += 0.5 * g[..., : t // 2, :]
-            acc[..., -1, :] += 0.5 * g[..., -1, :]
-        return acc
 
-    return _node("avg_pool_rows", data, (a, vjp))
+def _unpool_rows(g: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``avg_pool_rows``'s gradient: half of each pooled row's gradient to
+    each row of its pair, both halves to an odd tail row."""
+    t = like.shape[-2]
+    acc = np.zeros_like(like)
+    acc[..., 0::2, :] += 0.5 * g
+    if t % 2 == 0:
+        acc[..., 1::2, :] += 0.5 * g
+    else:
+        acc[..., 1::2, :] += 0.5 * g[..., : t // 2, :]
+        acc[..., -1, :] += 0.5 * g[..., -1, :]
+    return acc
 
 # -- parameters and the optimizer ----------------------------------------
 class Parameter:
@@ -498,47 +513,57 @@ def softmax_rows(x: Tensor) -> Tensor:
     _check_op("softmax_rows", "input", x.data, (x,))  # a -inf entry gets weight 0
     e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
     out = e / e.sum(axis=1, keepdims=True)
-    return _node("softmax_rows", out.astype(x.data.dtype, copy=False),
-                 (x, lambda g: (g - (g * out).sum(axis=1, keepdims=True)) * out))
+    return _node("softmax_rows", out.astype(x.data.dtype, copy=False), (x,),
+                 _grad_enabled and (lambda g: (g - (g * out).sum(axis=1, keepdims=True)) * out,))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine rescale.
 
     ``x`` is rows x C or batch x rows x C; rows are normalized over axis -1.
-    A row whose variance is not finite raises NumericError: a huge finite row
-    squares to inf, and would otherwise normalize to exactly the bias.
+    Each row's mean, and its variance as the mean of the squared centred
+    row, is a matrix product with a C x 1 column of 1/C, and so are the
+    row means of the backward pass; a batch gets one product per slice.  A row whose variance is not finite raises NumericError: a
+    huge finite row squares to inf, and would otherwise normalize to exactly
+    the bias.
     """
     if x.data.ndim not in (2, 3):
         raise ShapeError("layer_norm expects a 2-D or 3-D tensor")
-    # np.mean and np.var's arithmetic, with the centred rows formed only once
-    n = x.data.shape[-1]
-    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
-    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
+    avg = np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=x.data.dtype)
+    xhat = x.data - x.data @ avg
+    var = (xhat * xhat) @ avg
     _check_op("layer_norm", "row variance", var, (x, gain, bias))
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
     lead = tuple(range(x.data.ndim - 1))
+    return _node("layer_norm", out.astype(x.data.dtype, copy=False), (x, gain, bias),
+                 _grad_enabled and (
+                     lambda g: _layer_norm_dx(g * gain.data, xhat, inv, avg),
+                     lambda g: (g * xhat).sum(axis=lead).reshape(gain.shape),
+                     lambda g: g.sum(axis=lead).reshape(bias.shape)))
 
-    def dx(g):
-        dxhat = g * gain.data
-        return (inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                       - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-                ).astype(x.data.dtype, copy=False)
 
-    return _node("layer_norm", out.astype(x.data.dtype, copy=False), (x, dx),
-                 (gain, lambda g: (g * xhat).sum(axis=lead).reshape(gain.shape)),
-                 (bias, lambda g: g.sum(axis=lead).reshape(bias.shape)))
+def _layer_norm_dx(dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                   avg: np.ndarray) -> np.ndarray:
+    """``layer_norm``'s input gradient from the normalized rows' gradient."""
+    d = inv * (dxhat - dxhat @ avg - xhat * ((dxhat * xhat) @ avg))
+    return d.astype(xhat.dtype, copy=False)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, kernel: int = 3) -> Tensor:
-    """Same-padded 1-D convolution along rows via an im2col matmul.
+    """Same-padded 1-D convolution along rows, one matmul per tap.
 
     ``x`` is time x C_in, or batch x time x C_in with one product per batch
     slice; ``w`` is (kernel*C_in) x C_out with taps ordered
-    [tap0 | tap1 | ...], each tap a C_in block.
+    [tap0 | tap1 | ...], each tap a C_in block.  Output row r sums tap k's
+    block applied to input row r + k - kernel//2, where that row exists: each
+    tap multiplies the input rows it reads and adds the product into the
+    output rows it reaches, so nothing is padded and no im2col matrix is
+    built.  The centre tap, which reaches every row, starts the sum; the
+    other taps follow in order, then the bias.  The backward pass runs the
+    same products transposed.
     """
     if x.data.ndim not in (2, 3) or w.data.ndim != 2:
         raise ShapeError("conv1d expects a 2-D or 3-D input and a 2-D weight")
@@ -547,27 +572,49 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, kernel: int = 3) -> Te
     t, cin = x.shape[-2:]
     if w.shape[0] != kernel * cin:
         raise ShapeError(f"weight rows {w.shape[0]} != kernel*C_in {kernel * cin}")
-    half = kernel // 2
-    pad_shape = x.shape[:-2] + (t + 2 * half, cin)
-    padded = np.zeros(pad_shape, dtype=x.data.dtype)
-    padded[..., half:half + t, :] = x.data
-    cols = np.concatenate([padded[..., k:k + t, :] for k in range(kernel)], axis=-1)
-    out = cols @ w.data
+    taps = _conv_taps(t, kernel)
+    blocks = [w.data[k * cin:(k + 1) * cin] for k in range(kernel)]
+    out = _tap_sum(x.data, blocks, taps)
     if b is not None:
         out += b.data
+    # zip pairs the bias's gradient function only with a bias
+    return _node("conv1d", out, (x, w) if b is None else (x, w, b), _grad_enabled and (
+        lambda g: _tap_sum(g, [m.T for m in blocks], [(k, src, dst) for k, dst, src in taps]),
+        lambda g: _conv_dw(g, x.data, w.data, taps),
+        lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0).reshape(b.shape)))
 
-    def dx(g):
-        dcols = g @ w.data.T
-        dpad = np.zeros(pad_shape, dtype=x.data.dtype)
-        for k in range(kernel):
-            dpad[..., k:k + t, :] += dcols[..., k * cin:(k + 1) * cin]
-        return dpad[..., half:half + t, :]
 
-    inputs = [(x, dx),
-              (w, lambda g: cols.reshape(-1, kernel * cin).T @ g.reshape(-1, g.shape[-1]))]
-    if b is not None:
-        inputs.append((b, lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0).reshape(b.shape)))
-    return _node("conv1d", out, *inputs)
+def _tap_sum(a: np.ndarray, blocks: list[np.ndarray], taps) -> np.ndarray:
+    """``conv1d``'s products: for each ``(tap, rows reached, rows read)``,
+    the rows of ``a`` it reads times its block, added into the rows it
+    reaches.  The first tap must reach every row.  With the blocks
+    transposed and each tap's rows swapped, this is the input gradient."""
+    out = a @ blocks[taps[0][0]]
+    for k, dst, src in taps[1:]:
+        out[..., dst, :] += a[..., src, :] @ blocks[k]
+    return out
+
+
+def _conv_dw(g: np.ndarray, x: np.ndarray, w: np.ndarray, taps) -> np.ndarray:
+    """``conv1d``'s weight gradient, one tap block at a time over the batch's
+    rows; a tap that reaches no row gets zeros."""
+    cin = x.shape[-1]
+    d = np.zeros_like(w)
+    for k, dst, src in taps:
+        d[k * cin:(k + 1) * cin] = (x[..., src, :].reshape(-1, cin).T
+                                    @ g[..., dst, :].reshape(-1, g.shape[-1]))
+    return d
+
+
+@functools.lru_cache(maxsize=64)  # a sampler repeats each frame count at every step
+def _conv_taps(t: int, kernel: int) -> tuple[tuple[int, slice, slice], ...]:
+    """``(tap, output rows, input rows)`` of each tap that reaches one of
+    ``t`` rows, the centre tap first: tap k maps input row r + k - kernel//2
+    to output row r."""
+    half = kernel // 2
+    order = [half] + [k for k in range(kernel) if k != half and abs(k - half) < t]
+    return tuple((k, slice(max(half - k, 0), t - max(k - half, 0)),
+                  slice(max(k - half, 0), t - max(half - k, 0))) for k in order)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -577,8 +624,8 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError("embedding expects a 1-D id array")
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
         raise ShapeError("token id outside table range")
-    return _node("embedding", table.data[ids],
-                 (table, lambda g: _scatter(table.data, ids, g, repeats=True)))
+    return _node("embedding", table.data[ids], (table,),
+                 _grad_enabled and (lambda g: _scatter(table.data, ids, g, repeats=True),))
 
 
 def l2_normalize(x: Tensor) -> Tensor:
@@ -589,8 +636,8 @@ def l2_normalize(x: Tensor) -> Tensor:
     if norm == 0.0:
         raise ShapeError("cannot normalize a zero vector")
     y = x.data / norm
-    return _node("l2_normalize", y.astype(x.data.dtype, copy=False),
-                 (x, lambda g: (g - y * (y * g).sum()) / norm))
+    return _node("l2_normalize", y.astype(x.data.dtype, copy=False), (x,),
+                 _grad_enabled and (lambda g: (g - y * (y * g).sum()) / norm,))
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

@@ -78,10 +78,17 @@ def new_trainer(cfg: Config, vocab: Vocabulary,
         # start the duration head at the corpus average log frames-per-token;
         # the regression then only has to learn deviations from the mean rate
         frames = sum(u.mel.frames for u in utterances)
-        tokens = sum(len(model.encode_text(u.text)) for u in utterances)
+        tokens = sum(len(_encode_utterance(model, u)) for u in utterances)
         model.store["dur.head.b"].tensor.data[:] = np.log(max(frames / tokens, 1.0))
     opt = nc.Adam(model.store, lr=cfg.train.learning_rate)
     return Trainer(model, opt)
+
+
+def _encode_utterance(model: TTSModel, utt: Utterance) -> PhonemeSequence:
+    try:
+        return model.encode_text(utt.text)
+    except VocabularyError as exc:
+        raise VocabularyError(f"utterance {utt.utterance_id}: {exc}") from exc
 
 
 def _utterance_losses(model: TTSModel, utt: Utterance, seq: PhonemeSequence,
@@ -137,10 +144,7 @@ def train_epochs(trainer: Trainer, utterances: list[Utterance], n_epochs: int,
     cfg = model.cfg
     seqs = []
     for utt in utterances:
-        try:  # an unknown symbol would train as unk, whose embedding nothing else trains
-            seq = encode_text(utt.text, model.vocab, cfg.token_mode, strict=True)
-        except VocabularyError as exc:
-            raise VocabularyError(f"utterance {utt.utterance_id}: {exc}") from exc
+        seq = _encode_utterance(model, utt)
         if len(seq) > utt.mel.frames:
             raise aligner.InfeasibleError(
                 f"utterance {utt.utterance_id}: {len(seq)} tokens over {utt.mel.frames} frames; "
@@ -280,8 +284,8 @@ def synthesize(model: TTSModel, stats: MelStats, text: str, reference: Waveform,
     if stats.fingerprint != cfg.audio.fingerprint():
         raise ConfigMismatchError("mel stats were computed under a different analysis config "
                                   "than the model's; rerun `difftts stats` with its config")
-    ref_mel = wav_to_mel(reference, cfg.audio)
     seq = model.encode_text(text)
+    ref_mel = wav_to_mel(reference, cfg.audio)
 
     window = durpred.crop_window(ref_mel, cfg.ref_frames, np.random.default_rng([seed, _CROP]))
     ref = durpred.ReferenceMel(window, "reference", "reference")

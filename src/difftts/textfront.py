@@ -8,8 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
-PAD_ID = 0
-UNK_ID = 1
+PAD_ID = 0  # id 1 is reserved: no symbol gets it, so ids match older checkpoints
 
 MODES = ("characters", "phonemes")
 
@@ -19,7 +18,7 @@ class EmptyTextError(ValueError):
 
 
 class VocabularyError(ValueError):
-    """Malformed vocabulary input or file."""
+    """Malformed vocabulary input or file, or a symbol outside the vocabulary."""
 
 
 def _normalize(text: str) -> str:
@@ -36,7 +35,8 @@ def _split(text: str, mode: str) -> list[str]:
 
 @dataclass
 class Vocabulary:
-    """The symbols in id order: ``symbols[i]`` has id ``i + 2``, after pad and unk."""
+    """The symbols in id order: ``symbols[i]`` has id ``i + 2``, after pad
+    and the reserved id 1."""
     symbols: list[str]
 
     def __post_init__(self):
@@ -46,10 +46,11 @@ class Vocabulary:
         self._ids = {s: i for i, s in enumerate(self.symbols, start=2)}
 
     def __len__(self) -> int:
-        return len(self.symbols) + 2  # plus pad and unk
+        return len(self.symbols) + 2  # plus pad and the reserved id
 
-    def id_of(self, symbol: str) -> int:
-        return self._ids.get(symbol, UNK_ID)
+    def id_of(self, symbol: str) -> int | None:
+        """The symbol's id, None for a symbol outside the vocabulary."""
+        return self._ids.get(symbol)
 
 
 @dataclass
@@ -79,16 +80,17 @@ def build_vocab(transcripts: Iterable[str], mode: str = "characters") -> Vocabul
     return Vocabulary(sorted(symbols))
 
 
-def encode_text(text: str, vocab: Vocabulary, mode: str = "characters",
-                strict: bool = False) -> PhonemeSequence:
-    """Token ids; a symbol outside ``vocab`` is unk, or refused when ``strict``."""
+def encode_text(text: str, vocab: Vocabulary, mode: str = "characters") -> PhonemeSequence:
+    """Token ids; VocabularyError names every symbol outside ``vocab`` and
+    its token position, counted from 1 after normalization."""
     normalized = _normalize(text)
     if not normalized:
         raise EmptyTextError("text is empty after normalization")
     tokens = _split(normalized, mode)
-    ids = np.array([vocab.id_of(t) for t in tokens], dtype=np.int64)
-    if strict and UNK_ID in ids:
-        raise VocabularyError(f"symbol {tokens[int(np.argmax(ids == UNK_ID))]!r} "
-                              "is not in the model's vocabulary")
-    return PhonemeSequence(ids)
+    ids = [vocab.id_of(t) for t in tokens]
+    unknown = [f"symbol {t!r} is not in the model's vocabulary (token {i} of {len(tokens)})"
+               for i, (t, id_) in enumerate(zip(tokens, ids), start=1) if id_ is None]
+    if unknown:
+        raise VocabularyError("; ".join(unknown))
+    return PhonemeSequence(np.array(ids, dtype=np.int64))
 

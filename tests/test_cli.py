@@ -474,6 +474,14 @@ def test_train_epochs_names_an_utterance_with_a_symbol_outside_the_vocabulary(co
     assert trainer.step == 0 and trainer.epoch == 0
 
 
+def test_new_trainer_names_an_utterance_with_a_symbol_outside_the_vocabulary(corpus_dir):
+    trainer, utts = tiny_trainer(corpus_dir)
+    utts[0].text += " x"
+    with pytest.raises(VocabularyError,
+                       match=rf"^utterance {utts[0].utterance_id}: symbol 'x' is not in the "):
+        pipeline.new_trainer(trainer.model.cfg, trainer.model.vocab, utts)
+
+
 def test_train_epochs_checkpoints_once_after_its_last_epoch(corpus_dir, tmp_path, monkeypatch):
     trainer, utts = tiny_trainer(
         corpus_dir, TINY_CFG_TEXT.replace("checkpoint_every=50", "checkpoint_every=1"))
@@ -611,6 +619,19 @@ def test_synth_names_a_bad_flag_before_reading_any_file(tmp_path, capsys, flag, 
                    "--stats", missing / "s.bin", flag, value) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ") and "cannot read" not in err
+
+
+def test_synth_names_unknown_symbols_before_reading_stats_or_reference(trained, tmp_path, capsys):
+    # the vocabulary is the checkpoint's, so the checkpoint is the one file
+    # read before the text is checked
+    missing = tmp_path / "never-written"
+    out = tmp_path / "o.wav"
+    assert run_cli("synth", "--checkpoint", trained["checkpoint"], "--text", "ab #d~",
+                   "--ref", missing / "r.wav", "--out", out, "--stats", missing / "s.bin") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: symbol '#' is not in the model's vocabulary (token 4 of 6); "
+                          "symbol '~' is not in the model's vocabulary (token 6 of 6)")
+    assert "cannot read" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("n_samples, rate, fault", AUDIO_FAULTS)

@@ -30,10 +30,14 @@ def test_encode_basic():
     np.testing.assert_array_equal(seq.ids, [2, 3])
 
 
-def test_encode_unknown_fallback():
-    vocab = tf.Vocabulary(["a"])
-    seq = tf.encode_text("ax", vocab)
-    np.testing.assert_array_equal(seq.ids, [2, tf.UNK_ID])
+def test_encode_refuses_each_unknown_symbol_by_position():
+    vocab = tf.Vocabulary([" ", "a", "b"])
+    with pytest.raises(tf.VocabularyError) as info:
+        tf.encode_text("abz q", vocab)
+    assert str(info.value) == ("symbol 'z' is not in the model's vocabulary (token 3 of 5); "
+                               "symbol 'q' is not in the model's vocabulary (token 5 of 5)")
+    with pytest.raises(tf.VocabularyError, match=r"^symbol 'x' .* \(token 2 of 3\)$"):
+        tf.encode_text("k x t", tf.Vocabulary(["k", "t"]), mode="phonemes")
 
 
 def test_encode_prephonemized():
