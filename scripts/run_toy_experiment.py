@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""End-to-end toy experiment: corpus -> stats -> train -> synth -> eval.
+"""End-to-end toy experiment: corpus -> stats -> train -> synth.
 
 Reproduces the desk-scale pipeline in one command.  With the default
 settings this takes a minute or two on a laptop CPU and leaves the corpus,
-checkpoint, loss log, a synthesized WAV, and a CER table in the work
-directory.
+mel stats, checkpoint, loss log and a synthesized WAV in the work
+directory.  It scores nothing: a CER needs ASR transcripts of the
+synthesized audio, and the corpus transcripts scored against themselves
+read 0 whatever the model does.
 """
 
 import argparse
@@ -60,16 +62,7 @@ def main():
         code = cli.main([str(a) for a in argv])
         if code != 0:
             return code
-
-    # score the transcripts of the corpus against themselves as a demo of the
-    # metric path (real use feeds ASR transcripts of synthesized audio)
-    manifest = work / "manifest.tsv"
-    rows = ["id\tdataset\tlanguage\treference\thypothesis\tsim_o"]
-    for txt in sorted(corpus.glob("*.txt")):
-        text = txt.read_text(encoding="utf-8").strip()
-        rows.append(f"{txt.stem}\ttoy\ttonelang\t{text}\t{text}\t")
-    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return cli.main(["eval", "--manifest", str(manifest), "--mode", "cer"])
+    return 0
 
 
 if __name__ == "__main__":

@@ -156,7 +156,8 @@ def write_wav(path, w: Waveform) -> None:
                          "refusing to write it as 16-bit PCM")
     quant = np.rint(np.clip(w.samples, -1.0, 1.0) * 32768.0)
     quant = np.clip(quant, -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as out:
+    # opened here, not by wave: a wave writer whose open failed raises from __del__
+    with open(path, "wb") as f, wave.open(f, "wb") as out:
         out.setnchannels(1)
         out.setsampwidth(2)
         out.setframerate(w.sample_rate)

@@ -37,13 +37,18 @@ def save_checkpoint(path, metadata: dict, tensors: dict[str, np.ndarray]) -> Non
     """Write to a temporary file beside ``path``, then rename it over ``path``.
 
     A process that dies mid-write leaves the previous checkpoint intact.  The
-    data is not fsynced, so this does not guard against power loss.
+    data is not fsynced, so this does not guard against power loss.  A
+    temporary file that cannot be created raises CheckpointError naming ``path``.
     """
     meta = json.dumps(metadata, sort_keys=True, allow_nan=False).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as f:
+        f = open(tmp, "wb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    try:
+        with f:
             crc = 0
 
             def put(chunk) -> None:

@@ -23,11 +23,20 @@ def _default_stats_path(corpus_dir) -> Path:
     return Path(corpus_dir) / "melstats.bin"
 
 
+def _output_path(flag: str, path) -> Path:
+    """``path`` as given to ``flag``; refused, before any work, unless its
+    directory exists."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"{flag}: {path}: directory {path.parent} does not exist")
+    return path
+
+
 def cmd_stats(args) -> int:
+    out = _output_path("--out", args.out) if args.out else _default_stats_path(args.corpus)
     cfg = _config_from_args(args)
     utterances = load_corpus(args.corpus, cfg)
     stats = mean_mel([u.mel for u in utterances], cfg.audio)
-    out = Path(args.out) if args.out else _default_stats_path(args.corpus)
     save_mel_stats(out, stats)
     print(f"wrote {out}: {stats.frame_count} frames over {len(utterances)} utterances")
     return 0
@@ -36,6 +45,8 @@ def cmd_stats(args) -> int:
 def cmd_train(args) -> int:
     if args.epochs is not None and args.epochs < 1:
         raise ValueError(f"--epochs must be at least 1, got {args.epochs}")
+    out = _output_path("--out", args.out)
+    log_path = _output_path("--log", args.log) if args.log else out.with_suffix(".losses.csv")
     cfg = _config_from_args(args)
     stats_path = Path(args.stats) if args.stats else _default_stats_path(args.corpus)
     if load_mel_stats(stats_path).fingerprint != cfg.audio.fingerprint():
@@ -48,7 +59,6 @@ def cmd_train(args) -> int:
         vocab = build_vocab([u.text for u in utterances], cfg.token_mode)
         trainer = pipeline.new_trainer(cfg, vocab, utterances)
     epochs = args.epochs if args.epochs is not None else cfg.train.epochs
-    log_path = Path(args.log) if args.log else Path(args.out).with_suffix(".losses.csv")
     if not args.resume:
         log_path.write_text("", encoding="utf-8")
     # train_epochs checkpoints after its last epoch, so ending each call at a
@@ -73,6 +83,7 @@ def cmd_synth(args) -> int:
             GuidanceConfig(**setting)
         except ConfigError as exc:
             raise ConfigError(f"{flag}: {exc}") from exc
+    out = _output_path("--out", args.out)
     trainer, stored_stats = pipeline.load_trainer(args.checkpoint)
     # the text is checked against the checkpoint's vocabulary before the
     # stats or the reference is read
@@ -87,10 +98,10 @@ def cmd_synth(args) -> int:
         raise ConfigMismatchError(f"{stats_path}: {exc}") from exc
     except (AudioFormatError, TooShortError) as exc:  # the reference, resampled, is too short
         raise type(exc)(f"{args.ref}: {exc}") from exc
-    write_wav(args.out, result.wave)
+    write_wav(out, result.wave)
     frames = result.durations.frames
     print("durations:", " ".join(str(int(d)) for d in frames))
-    print(f"wrote {args.out}: {frames.sum()} frames, {result.wave.duration():.2f} s")
+    print(f"wrote {out}: {frames.sum()} frames, {result.wave.duration():.2f} s")
     return 0
 
 

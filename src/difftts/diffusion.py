@@ -28,10 +28,11 @@ class ScoreCondition:
 
     Either field may be a graph Tensor (training) or an ndarray (sampling);
     ``score_net`` turns arrays into tensors.  ``mel`` may carry a leading
-    batch axis of conditions that share the speaker, as ``guidance_pair``
-    builds.  ``terms`` is None, or what ``prepare_condition`` computed ahead
-    for ``score_net`` to read instead: (``speaker_rows``, the mel's term of
-    the input conv, bias included), valid while the parameters are unchanged.
+    batch axis of conditions that share the speaker, as ``prepare_condition``
+    builds for guidance.  ``terms`` is None, or the condition's terms that
+    ``prepare_condition`` computed ahead for ``score_net`` to read instead:
+    the five per-block speaker rows and the mel's term of the input conv,
+    bias included, valid while the parameters are unchanged.
     """
     mel: object       # [batch x] frames x n_mels (aligned text mu, or mean-mel broadcast)
     speaker: object   # (d_spk,) unit norm
@@ -91,11 +92,6 @@ def _block_rows(store: nc.ParamStore, row: nc.Tensor, kind: str) -> list[nc.Tens
             for b in _BLOCKS]
 
 
-def speaker_rows(store: nc.ParamStore, speaker) -> list[nc.Tensor]:
-    """Each residual block's projection of the speaker vector, a 1 x C row per block."""
-    return _block_rows(store, _tensor(store, speaker).reshape(1, -1), "spk")
-
-
 def _res_block(store: nc.ParamStore, x: nc.Tensor, add: nc.Tensor, name: str,
                kernel: int) -> nc.Tensor:
     h = x + add  # the block's time-plus-speaker row, broadcast over frames
@@ -106,55 +102,56 @@ def _res_block(store: nc.ParamStore, x: nc.Tensor, add: nc.Tensor, name: str,
 
 
 def _upsample_to(x: nc.Tensor, frames: int) -> nc.Tensor:
-    doubled = nc.repeat_rows(x, np.full(x.shape[-2], 2, dtype=np.int64))
-    if doubled.shape[-2] == frames:
-        return doubled
-    return nc.slice_rows(doubled, 0, frames)
+    """Each row of ``x`` twice, the last once when ``frames`` is odd."""
+    counts = np.full(x.shape[-2], 2, dtype=np.int64)
+    counts[-1] = frames - 2 * (len(counts) - 1)
+    return nc.repeat_rows(x, counts)
 
 
-def _input_weights(store: nc.ParamStore, cfg: Config) -> tuple[nc.Tensor, nc.Tensor]:
-    """``dec.in.w`` split into its x_t rows and its mel rows.
+def _input_rows(store: nc.ParamStore, cfg: Config, part: int) -> nc.Tensor:
+    """``dec.in.w``'s x_t rows (``part`` 0) or mel rows (``part`` 1).
 
     Each tap's block of the weight is [x_t rows | mel rows], so the input
     conv of concat(x_t, mel) is the conv of x_t plus the conv of mel.  The
-    split is taken on the tape, so gradients reach the one parameter.
+    rows are sliced on the tape, so gradients reach the one parameter.
     """
     k, n = cfg.model.conv_kernel, cfg.audio.n_mels
     taps = store["dec.in.w"].tensor.reshape(k, 2 * n, -1)
-    return tuple(nc.slice_rows(taps, a, a + n).reshape(k * n, -1) for a in (0, n))
+    return nc.slice_rows(taps, part * n, (part + 1) * n).reshape(k * n, -1)
 
 
-def _mel_term(store: nc.ParamStore, mel, w_mel: nc.Tensor, cfg: Config) -> nc.Tensor:
-    return nc.conv1d(_tensor(store, mel), w_mel, store["dec.in.b"].tensor,
-                     kernel=cfg.model.conv_kernel)
+def _terms(store: nc.ParamStore, cond: ScoreCondition,
+           cfg: Config) -> tuple[list[nc.Tensor], nc.Tensor]:
+    """What depends only on ``cond``: each residual block's projection of the
+    speaker, a 1 x C row per block, and the mel's input-conv term, bias included."""
+    rows = _block_rows(store, _tensor(store, cond.speaker).reshape(1, -1), "spk")
+    return rows, nc.conv1d(_tensor(store, cond.mel), _input_rows(store, cfg, 1),
+                           store["dec.in.b"].tensor, kernel=cfg.model.conv_kernel)
 
 
-def guidance_pair(cond_c: ScoreCondition, cond_mel: ScoreCondition) -> ScoreCondition:
-    """The batch [conditional, unconditional] that one ``score_net`` pass evaluates.
+def prepare_condition(store: nc.ParamStore, cond: ScoreCondition, cfg: Config,
+                      cond_mel: ScoreCondition | None = None) -> ScoreCondition:
+    """``cond``, batched or not, with its ``terms`` computed off the tape; given
+    ``cond_mel``, the batch [``cond``, ``cond_mel``] that one guided pass reads.
 
     Guidance holds the speaker fixed, so both conditions must carry the same
-    speaker vector, and their mels must share the frame count.
+    speaker vector, and their mels must share the frame count.  A non-finite
+    term raises NumericError naming the op.
     """
-    mel_c, mel_u = np.asarray(cond_c.mel), np.asarray(cond_mel.mel)
-    if mel_c.shape != mel_u.shape:
-        raise nc.ShapeError("conditional and unconditional mels must share frame count")
-    if not np.array_equal(cond_c.speaker, cond_mel.speaker):
-        raise ValueError("guidance holds the speaker fixed: "
-                         "both conditions need the same speaker")
-    return ScoreCondition(np.stack([mel_c, mel_u]), cond_c.speaker)
+    if cond_mel is not None:
+        mel_c, mel_u = np.asarray(cond.mel), np.asarray(cond_mel.mel)
+        if mel_c.shape != mel_u.shape:
+            raise nc.ShapeError("conditional and unconditional mels must share frame count")
+        if not np.array_equal(cond.speaker, cond_mel.speaker):
+            raise ValueError("guidance holds the speaker fixed: "
+                             "both conditions need the same speaker")
+        cond = ScoreCondition(np.stack([mel_c, mel_u]), cond.speaker)
 
-
-def prepare_condition(store: nc.ParamStore, cond: ScoreCondition, cfg: Config) -> ScoreCondition:
-    """``cond``, batched or not, with its ``terms`` computed off the tape.
-
-    A non-finite term raises NumericError naming the op.
-    """
     def forward():
         with nc.no_grad():
-            w_mel = _input_weights(store, cfg)[1]
-            rows = [nc.require_finite(r, "speaker row") for r in speaker_rows(store, cond.speaker)]
-            return rows, nc.require_finite(_mel_term(store, cond.mel, w_mel, cfg),
-                                           "input-layer term of a mel condition")
+            rows, mel_in = _terms(store, cond, cfg)
+            return ([nc.require_finite(r, "speaker row") for r in rows],
+                    nc.require_finite(mel_in, "input-layer term of a mel condition"))
 
     return replace(cond, terms=nc.run_checked(forward))
 
@@ -171,9 +168,7 @@ def score_net(store: nc.ParamStore, x_t, t: float, cond: ScoreCondition,
     """
     k = cfg.model.conv_kernel
     x = _tensor(store, x_t)
-    w_x, w_mel = _input_weights(store, cfg)
-    rows, mel_in = cond.terms or (speaker_rows(store, cond.speaker),
-                                  _mel_term(store, cond.mel, w_mel, cfg))
+    rows, mel_in = cond.terms or _terms(store, cond, cfg)
     if x.data.ndim != 2 or x.shape[0] != mel_in.shape[-2]:
         raise nc.ShapeError(f"sample/condition frames disagree: {x.shape} vs {mel_in.shape}")
     t_emb = nc.Tensor(nc.sinusoidal_embedding(t, cfg.model.dec_channels, dtype=store.dtype))
@@ -183,7 +178,7 @@ def score_net(store: nc.ParamStore, x_t, t: float, cond: ScoreCondition,
     def block(h: nc.Tensor, name: str) -> nc.Tensor:
         return _res_block(store, h, adds[name], f"dec.{name}", k)
 
-    h0 = block(nc.conv1d(x, w_x, kernel=k) + mel_in, "down0")
+    h0 = block(nc.conv1d(x, _input_rows(store, cfg, 0), kernel=k) + mel_in, "down0")
     h1 = block(nc.avg_pool_rows(h0), "down1")
     h2 = block(nc.avg_pool_rows(h1), "mid")
     u1 = block(_upsample_to(h2, h1.shape[-2]) + h1, "up1")
@@ -204,11 +199,9 @@ def diffusion_loss(store: nc.ParamStore, x0: np.ndarray, mu: nc.Tensor,
                    speaker, rng: np.random.Generator, cfg: Config) -> nc.Tensor:
     """Noise-prediction MSE at a time drawn uniformly from [t_min, 1) of ``cfg.schedule``."""
     t = float(rng.uniform(cfg.schedule.t_min, 1.0))
-    eps = rng.standard_normal(x0.shape).astype(store.dtype)
-    x_t = forward_diffuse(nc.Tensor(np.asarray(x0, dtype=store.dtype)), mu, t,
-                          nc.Tensor(eps), cfg.schedule)
-    eps_hat = score_net(store, x_t, t, ScoreCondition(mu, speaker), cfg)
-    diff = eps_hat - nc.Tensor(eps)
+    eps = nc.Tensor(rng.standard_normal(x0.shape).astype(store.dtype))
+    x_t = forward_diffuse(nc.Tensor(np.asarray(x0, dtype=store.dtype)), mu, t, eps, cfg.schedule)
+    diff = score_net(store, x_t, t, ScoreCondition(mu, speaker), cfg) - eps
     return (diff * diff).mean()
 
 
@@ -226,15 +219,15 @@ def cfg_score(store: nc.ParamStore, x_t: np.ndarray, t: float,
     """Guided score; gamma 0 short-circuits to the conditional score and is
     the only setting that may omit ``cond_mel``.
 
-    At gamma > 0 both conditions go through one ``score_net`` pass as the
-    batch ``guidance_pair(cond_c, cond_mel)``.  That pair, prepared or not,
-    may also be passed itself as ``cond_c`` with ``cond_mel`` None, as
-    ``reverse_sample`` does.  ``score_net`` runs off the tape, its result
+    At gamma > 0 both conditions go through one ``score_net`` pass, as the
+    pair ``prepare_condition(store, cond_c, cfg, cond_mel)``.  A pair so
+    prepared may also be passed itself as ``cond_c`` with ``cond_mel`` None,
+    as ``reverse_sample`` does.  ``score_net`` runs off the tape, its result
     checked once for finiteness.
     """
     if gamma != 0.0:
         if cond_mel is not None:
-            cond_c = guidance_pair(cond_c, cond_mel)
+            cond_c = prepare_condition(store, cond_c, cfg, cond_mel)
         elif len(cond_c.mel.shape) != 3:
             raise ValueError(f"guidance at gamma={gamma} needs the unconditional mel condition")
 
@@ -297,11 +290,10 @@ def reverse_sample(store: nc.ParamStore, mu: np.ndarray, speaker: np.ndarray,
     spk = np.asarray(speaker, dtype=store.dtype)
     rng = np.random.default_rng(seed)
     x = mu + math.sqrt(guidance.temperature) * rng.standard_normal(mu.shape).astype(store.dtype)
-    cond = ScoreCondition(mu, spk)
-    if guidance.gamma != 0.0:
-        cond = guidance_pair(cond, ScoreCondition(np.asarray(cond_mel, dtype=store.dtype), spk))
+    uncond = (ScoreCondition(np.asarray(cond_mel, dtype=store.dtype), spk)
+              if guidance.gamma != 0.0 else None)
     try:
-        cond = prepare_condition(store, cond, cfg)
+        cond = prepare_condition(store, ScoreCondition(mu, spk), cfg, uncond)
     except nc.NumericError as exc:
         raise nc.NumericError(f"sampler conditions: {exc}") from exc
     return integrate(lambda x_t, t: cfg_score(store, x_t, t, cond, None, guidance.gamma,

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import inspect
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +59,17 @@ def test_write_wav_refuses_non_finite_samples(tmp_path, bad):
     with pytest.raises(ValueError, match="sample 37 of 100"):
         audio.write_wav(p, audio.Waveform(samples, 22050))
     assert not p.exists()
+
+
+def test_write_wav_to_a_missing_directory_raises_only_the_open_error(tmp_path, monkeypatch):
+    # a wave writer whose own open failed raised again from __del__
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    p = tmp_path / "missing" / "o.wav"
+    with pytest.raises(FileNotFoundError, match="o.wav"):
+        audio.write_wav(p, audio.Waveform(np.zeros(100), 22050))
+    gc.collect()
+    assert unraisable == [] and not p.parent.exists()
 
 
 def test_load_wav_rejects_garbage(tmp_path):

@@ -124,6 +124,13 @@ def test_every_single_byte_change_is_rejected(small_blob, tmp_path_factory, data
         _load_bytes(p, bytes(blob))
 
 
+def test_unwritable_checkpoint_names_the_requested_path(tmp_path):
+    p = tmp_path / "missing" / "m.ckpt"
+    with pytest.raises(ck.CheckpointError) as info:
+        ck.save_checkpoint(p, META, {"w": np.ones(10, dtype=np.float32)})
+    assert str(info.value) == f"cannot write {p}: No such file or directory"
+
+
 def test_failed_write_keeps_previous_checkpoint(tmp_path):
     p = tmp_path / "m.ckpt"
     tmp = tmp_path / "m.ckpt.tmp"

@@ -237,6 +237,36 @@ def test_train_without_stats_fails_before_reading_the_corpus(tmp_path, cfg_file,
     assert not ck.exists() and not ck.with_suffix(".losses.csv").exists()
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("the command started work")
+
+
+def test_stats_refuses_a_missing_output_directory_before_reading(corpus_dir, cfg_file,
+                                                                tmp_path, monkeypatch, capsys):
+    for name in ("load_config", "load_corpus"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "missing" / "m.bin"
+    assert run_cli("stats", "--corpus", corpus_dir, "--config", cfg_file, "--out", out) == 1
+    assert capsys.readouterr().err == (f"error: --out: {out}: directory {out.parent} "
+                                       "does not exist\n")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+def test_train_refuses_a_missing_output_directory_before_reading(corpus_dir, cfg_file, tmp_path,
+                                                                 monkeypatch, capsys, flag):
+    for name in ("load_config", "load_mel_stats", "load_corpus"):
+        monkeypatch.setattr(cli, name, no_work)
+    work = tmp_path / "work"
+    work.mkdir()
+    paths = {"--out": work / "m.ckpt", "--log": work / "log.csv"}
+    paths[flag] = work / "missing" / paths[flag].name
+    assert run_cli("train", "--corpus", corpus_dir, "--config", cfg_file,
+                   *(a for item in paths.items() for a in item)) == 1
+    assert capsys.readouterr().err == (f"error: {flag}: {paths[flag]}: directory "
+                                       f"{paths[flag].parent} does not exist\n")
+    assert list(work.iterdir()) == []
+
+
 def foreign_stats(path):
     """Mel stats stamped with another analysis config (hop 256, not the tiny hop 512)."""
     save_mel_stats(path, MelStats(np.zeros(80), 1, AnalysisConfig().fingerprint()))
@@ -619,6 +649,15 @@ def test_synth_names_a_bad_flag_before_reading_any_file(tmp_path, capsys, flag, 
                    "--stats", missing / "s.bin", flag, value) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ") and "cannot read" not in err
+
+
+def test_synth_refuses_a_missing_output_directory_before_reading(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "load_trainer", no_work)
+    out = tmp_path / "missing" / "o.wav"
+    assert run_cli("synth", "--checkpoint", tmp_path / "m.ckpt", "--text", "ab",
+                   "--ref", tmp_path / "r.wav", "--out", out) == 1
+    assert capsys.readouterr().err == (f"error: --out: {out}: directory {out.parent} "
+                                       "does not exist\n")
 
 
 def test_synth_names_unknown_symbols_before_reading_stats_or_reference(trained, tmp_path, capsys):

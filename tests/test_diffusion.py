@@ -18,6 +18,23 @@ def make_store(cfg, seed=0):
     return store
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls of each named diffusion function; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(diffusion, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(diffusion, name, counted(name))
+    return calls
+
+
 def randomize_head(store, seed=9):
     # the output conv is zero-initialized; give it weights for tests that
     # need a non-degenerate network
@@ -152,6 +169,27 @@ def test_prepared_condition_matches_raw(tiny_cfg, dtype, batch):
         ahead = diffusion.score_net(store, x, 0.3, prepared, tiny_cfg)
     assert raw.data.dtype == ahead.data.dtype == dtype
     assert raw.data.tobytes() == ahead.data.tobytes()
+
+
+@pytest.mark.parametrize("rows, frames", [(3, 6), (3, 5), (1, 2), (1, 1)])
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_upsample_matches_repeat_then_slice(rows, frames, batch):
+    # one repeat whose last count is 1 at an odd frame count, against every
+    # row doubled and the surplus row sliced off: values and gradients
+    rng = np.random.default_rng(rows * 10 + frames)
+    data = rng.standard_normal(batch + (rows, 4)).astype(np.float32)
+    weights = nc.Tensor(rng.standard_normal(batch + (frames, 4)).astype(np.float32))
+
+    def run(upsample):
+        x = nc.Tensor(data, requires_grad=True)
+        out = upsample(x)
+        (out * weights).sum().backward()
+        return out.data.tobytes(), x.grad.tobytes()
+
+    def reference(x):
+        return nc.slice_rows(nc.repeat_rows(x, np.full(rows, 2)), 0, frames)
+
+    assert run(lambda x: diffusion._upsample_to(x, frames)) == run(reference)
 
 
 def test_speaker_conditioning_is_not_degenerate(tiny_cfg):
@@ -321,14 +359,12 @@ def test_one_pass_cfg_matches_two_pass_reference(tiny_cfg, monkeypatch, frames, 
     c_mel = diffusion.ScoreCondition(rng.standard_normal((frames, tiny_cfg.audio.n_mels)), spk)
     want = two_pass_cfg_score(store, x, 0.5, c_c, c_mel, 1.0, tiny_cfg)
     if pair:
-        c_c, c_mel = diffusion.prepare_condition(
-            store, diffusion.guidance_pair(c_c, c_mel), tiny_cfg), None
+        c_c, c_mel = diffusion.prepare_condition(store, c_c, tiny_cfg, c_mel), None
 
-    calls = []
-    score_net = diffusion.score_net
-    monkeypatch.setattr(diffusion, "score_net", lambda *a: calls.append(a) or score_net(*a))
+    # the raw pair is prepared in cfg_score, the prepared pair only read
+    calls = count_calls(monkeypatch, "prepare_condition", "score_net")
     got = diffusion.cfg_score(store, x, 0.5, c_c, c_mel, 1.0, SCHED, tiny_cfg)
-    assert len(calls) == 1
+    assert calls == {"prepare_condition": 0 if pair else 1, "score_net": 1}
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -424,18 +460,7 @@ def test_reverse_sample_prepares_its_conditions_once(tiny_cfg, monkeypatch):
     mu = rng.standard_normal((5, tiny_cfg.audio.n_mels))
     c_mel = rng.standard_normal((5, tiny_cfg.audio.n_mels))
     spk = rng.standard_normal(tiny_cfg.model.d_spk)
-    calls = {"prepare_condition": 0, "score_net": 0}
-
-    def counted(name):
-        fn = getattr(diffusion, name)
-
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(diffusion, name, counted(name))
+    calls = count_calls(monkeypatch, "prepare_condition", "score_net")
     guide = diffusion.GuidanceConfig(gamma=1.0, steps=4, temperature=1.0)
     diffusion.reverse_sample(store, mu, spk, guide, SCHED, tiny_cfg, seed=2, cond_mel=c_mel)
     assert calls == {"prepare_condition": 1, "score_net": 4}
